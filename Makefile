@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-stats fuzz-smoke bench-smoke bench-compare bench-record telemetry-smoke serve-smoke store-smoke metrics-smoke chaos-smoke run-regression-seeds cover profile check
+.PHONY: build test race vet lint lint-stats fuzz-smoke bench-smoke bench-compare bench-record telemetry-smoke chaos-smoke run-regression-seeds cover profile check
 
 build:
 	$(GO) build ./...
@@ -73,102 +73,6 @@ bench-record:
 telemetry-smoke:
 	$(GO) run ./cmd/pipesweep -n 2000 -cpuprofile /tmp/cpu.pprof -manifest /tmp/manifest.json > /dev/null
 	$(GO) run ./cmd/manifestcheck /tmp/manifest.json
-
-# Serving smoke: boot the sweep daemon, drive one point end to end over
-# HTTP (healthz, one sweep, stats), then verify a clean SIGTERM drain.
-# The in-process equivalents run in internal/serve and internal/clitest;
-# this is the out-of-process check CI runs against the real binary.
-SERVE_PORT ?= 18734
-
-serve-smoke:
-	$(GO) build -o /tmp/sweepd ./cmd/sweepd
-	@set -e; \
-	/tmp/sweepd -addr 127.0.0.1:$(SERVE_PORT) -workers 1 2>/tmp/sweepd.log & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	ok=; for i in $$(seq 1 100); do \
-		if curl -fsS http://127.0.0.1:$(SERVE_PORT)/healthz >/dev/null 2>&1; then ok=1; break; fi; \
-		sleep 0.1; \
-	done; \
-	test -n "$$ok" || { echo "serve-smoke: daemon never became healthy"; cat /tmp/sweepd.log; exit 1; }; \
-	curl -fsS http://127.0.0.1:$(SERVE_PORT)/healthz; \
-	curl -fsS -X POST --data '{"useful":[8],"benchmarks":["gcc"],"instructions":5000}' \
-		http://127.0.0.1:$(SERVE_PORT)/sweep | tee /tmp/sweep_point.ndjson; \
-	grep -q '"done":true' /tmp/sweep_point.ndjson; \
-	curl -fsS http://127.0.0.1:$(SERVE_PORT)/stats | grep -q '"points_done": 1'; \
-	kill -TERM $$pid; wait $$pid; \
-	echo "serve-smoke: one point served, clean shutdown"
-
-# Persistence smoke: boot the daemon with a durable -store, sweep one
-# grid, SIGKILL it (no drain, no final sync), reboot over the same
-# directory, and assert the restarted daemon serves byte-identical
-# results with zero simulations (warm hits only). The in-process and
-# test-binary equivalents live in internal/store, internal/serve and
-# internal/clitest; this drives the real binary the way an operator
-# restart would.
-STORE_PORT ?= 18735
-
-store-smoke:
-	$(GO) build -o /tmp/sweepd ./cmd/sweepd
-	@set -e; \
-	store=$$(mktemp -d /tmp/sweepd-store.XXXXXX); \
-	/tmp/sweepd -addr 127.0.0.1:$(STORE_PORT) -workers 1 -store $$store 2>/tmp/sweepd-store.log & pid=$$!; \
-	trap 'kill -9 $$pid 2>/dev/null || true; rm -rf $$store' EXIT; \
-	ok=; for i in $$(seq 1 100); do \
-		if curl -fsS http://127.0.0.1:$(STORE_PORT)/healthz >/dev/null 2>&1; then ok=1; break; fi; \
-		sleep 0.1; \
-	done; \
-	test -n "$$ok" || { echo "store-smoke: daemon never became healthy"; cat /tmp/sweepd-store.log; exit 1; }; \
-	curl -fsS -X POST --data '{"useful":[6,8],"benchmarks":["gcc"],"instructions":5000}' \
-		http://127.0.0.1:$(STORE_PORT)/sweep > /tmp/sweep_before.ndjson; \
-	grep -q '"done":true' /tmp/sweep_before.ndjson; \
-	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
-	/tmp/sweepd -addr 127.0.0.1:$(STORE_PORT) -workers 1 -store $$store 2>>/tmp/sweepd-store.log & pid=$$!; \
-	ok=; for i in $$(seq 1 100); do \
-		if curl -fsS http://127.0.0.1:$(STORE_PORT)/healthz >/dev/null 2>&1; then ok=1; break; fi; \
-		sleep 0.1; \
-	done; \
-	test -n "$$ok" || { echo "store-smoke: daemon never came back"; cat /tmp/sweepd-store.log; exit 1; }; \
-	curl -fsS -X POST --data '{"useful":[6,8],"benchmarks":["gcc"],"instructions":5000}' \
-		http://127.0.0.1:$(STORE_PORT)/sweep > /tmp/sweep_after.ndjson; \
-	diff /tmp/sweep_before.ndjson /tmp/sweep_after.ndjson; \
-	curl -fsS http://127.0.0.1:$(STORE_PORT)/stats > /tmp/store_stats.json; \
-	grep -q '"points_done": 0' /tmp/store_stats.json; \
-	grep -q '"warm_hits": 2' /tmp/store_stats.json; \
-	kill -TERM $$pid; wait $$pid; \
-	echo "store-smoke: warm restart served identical bytes, zero re-simulations"
-
-# Observability smoke: boot the daemon, sweep one grid with a pinned
-# X-Request-Id, then scrape /metrics and assert the exposition is
-# Prometheus text format 0.0.4 (HELP/TYPE present, the request counter
-# moved, latency histogram populated) and the request ID round-tripped.
-# The format linter and counters-agree-with-/stats checks run in
-# internal/serve and internal/clitest; this drives the real binary the
-# way a scraper would.
-METRICS_PORT ?= 18736
-
-metrics-smoke:
-	$(GO) build -o /tmp/sweepd ./cmd/sweepd
-	@set -e; \
-	/tmp/sweepd -addr 127.0.0.1:$(METRICS_PORT) -workers 1 2>/tmp/sweepd-metrics.log & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null || true' EXIT; \
-	ok=; for i in $$(seq 1 100); do \
-		if curl -fsS http://127.0.0.1:$(METRICS_PORT)/healthz >/dev/null 2>&1; then ok=1; break; fi; \
-		sleep 0.1; \
-	done; \
-	test -n "$$ok" || { echo "metrics-smoke: daemon never became healthy"; cat /tmp/sweepd-metrics.log; exit 1; }; \
-	curl -fsS -D /tmp/sweep_headers.txt -X POST -H 'X-Request-Id: metrics-smoke-1' \
-		--data '{"useful":[8],"benchmarks":["gcc"],"instructions":5000}' \
-		http://127.0.0.1:$(METRICS_PORT)/sweep > /dev/null; \
-	grep -qi '^x-request-id: metrics-smoke-1' /tmp/sweep_headers.txt; \
-	curl -fsS http://127.0.0.1:$(METRICS_PORT)/metrics > /tmp/metrics.txt; \
-	grep -q '^# HELP sweep_requests_total ' /tmp/metrics.txt; \
-	grep -q '^# TYPE sweep_request_seconds histogram$$' /tmp/metrics.txt; \
-	grep -q '^sweep_requests_total 1$$' /tmp/metrics.txt; \
-	grep -q '^sweep_request_seconds_count 1$$' /tmp/metrics.txt; \
-	grep -q '^sweep_request_seconds_bucket{le="+Inf"} 1$$' /tmp/metrics.txt; \
-	grep -q '^build_info{' /tmp/metrics.txt; \
-	kill -TERM $$pid; wait $$pid; \
-	echo "metrics-smoke: exposition well-formed, request ID echoed, clean shutdown"
 
 # Chaos smoke: two bounded runs of the seeded fault-injection harness
 # (internal/chaos) against the real sweepd binary — one pinned seed so

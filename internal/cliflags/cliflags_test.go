@@ -192,22 +192,16 @@ func TestSrvValidation(t *testing.T) {
 }
 
 func TestSrvBatchFlag(t *testing.T) {
-	// -batch is a plain bool flag: it defaults on, parses both
-	// spellings, and a malformed value fails at Parse — which the
-	// daemons' ExitOnError flag set turns into exit status 2.
-	parse := func(args ...string) (*Srv, error) {
+	// -batch is retired: the daemon has one dispatch path, so the old
+	// -batch=false escape hatch must fail at Parse as an unknown flag —
+	// which the daemons' ExitOnError flag set turns into exit status 2 —
+	// rather than be silently accepted.
+	for _, arg := range []string{"-batch", "-batch=false"} {
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		s := RegisterServeOn(fs)
-		return s, fs.Parse(args)
-	}
-	if s, err := parse(); err != nil || !*s.Batch {
-		t.Errorf("defaults: batch = %v, err = %v; want true, nil", *s.Batch, err)
-	}
-	if s, err := parse("-batch=false"); err != nil || *s.Batch {
-		t.Errorf("-batch=false: batch = %v, err = %v; want false, nil", *s.Batch, err)
-	}
-	if _, err := parse("-batch=nope"); err == nil {
-		t.Error("-batch=nope parsed cleanly; want a parse error (exit 2 in the daemons)")
+		RegisterServeOn(fs)
+		if err := fs.Parse([]string{arg}); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s: parse err = %v, want an unknown-flag error", arg, err)
+		}
 	}
 }

@@ -238,8 +238,32 @@ func TestSweepdMetricsEndToEnd(t *testing.T) {
 	if got := sampleValue(t, exposition, "sweep_requests_total"); got != 1 {
 		t.Errorf("sweep_requests_total = %v after one sweep, want 1", got)
 	}
-	if got := sampleValue(t, exposition, "sweep_request_seconds_count"); got < 1 {
-		t.Errorf("sweep_request_seconds_count = %v, want >= 1", got)
+	// Exactly one request is metered: /stats and /metrics themselves are
+	// not sweeps, so the latency histogram holds the one POST, in its
+	// count and in its +Inf bucket alike.
+	for _, sample := range []string{"sweep_request_seconds_count", `sweep_request_seconds_bucket{le="+Inf"}`} {
+		if got := sampleValue(t, exposition, sample); got != 1 {
+			t.Errorf("%s = %v after one sweep, want 1", sample, got)
+		}
+	}
+	// The metadata a scraper keys on: HELP and TYPE lines for the request
+	// families, and the build_info sample naming the running build.
+	lines := strings.Split(exposition, "\n")
+	for _, want := range []string{
+		"# HELP sweep_requests_total ",
+		"# TYPE sweep_request_seconds histogram",
+		"build_info{",
+	} {
+		found := false
+		for _, line := range lines {
+			if strings.HasPrefix(line, want) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Errorf("exposition has no line starting %q", want)
+		}
 	}
 
 	// The pprof surface answers only on the private listener.

@@ -1,19 +1,20 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/fo4"
+	"repro/internal/metrics"
 	"repro/internal/pipeline"
 )
 
-// TestSimulateBatchMatchesSimulatePointWith pins the serving layer's
-// batch entry point against the single-point path it replaces: every
-// lane of a mixed grid over one trace must match SimulatePointWith
-// field for field once the batch accounting counters (which never reach
-// the wire) are cleared.
-func TestSimulateBatchMatchesSimulatePointWith(t *testing.T) {
+// TestSimulateBatchMatchesRunWith pins the serving layer's batch entry
+// point against the per-lane engine: every lane of a mixed grid over one
+// trace must match pipeline.RunWith on that lane's own parameters field
+// for field once the batch accounting counters (which never reach the
+// wire) are cleared.
+func TestSimulateBatchMatchesRunWith(t *testing.T) {
 	opts := []PointOptions{
 		{Benchmark: "gcc", Useful: 4, Instructions: 5000},
 		{Benchmark: "gcc", Useful: 6, Instructions: 5000},
@@ -31,14 +32,15 @@ func TestSimulateBatchMatchesSimulatePointWith(t *testing.T) {
 	}
 	sc := pipeline.NewScratch()
 	for i, o := range opts {
-		want, err := SimulatePointWith(o, sc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		o = o.Normalize()
+		prof, _ := ProfileByName(o.Benchmark)
+		tr := cachedTrace(prof, o.Instructions, o.Seed, nil)
+		p, clk := o.params()
+		want := pointResult(pipeline.RunWith(p, tr, sc), tr, clk)
 		g := got[i]
 		g.Stats.BatchLanes, g.Stats.BatchSharedDecode = 0, 0
 		if g != want {
-			t.Errorf("lane %d: batched point diverges:\n got %+v\nwant %+v", i, g, want)
+			t.Errorf("lane %d: batched point diverges from RunWith:\n got %+v\nwant %+v", i, g, want)
 		}
 	}
 }
@@ -70,35 +72,41 @@ func TestSimulateBatchRejectsMixedTraces(t *testing.T) {
 }
 
 // TestDepthSweepBatchedMatchesUnbatched is the engine-level equivalence
-// oracle: the batched grid dispatch (the default) and the per-cell path
-// behind DisableBatch must produce identical sweep results modulo the
-// batch accounting counters, at more than one worker count.
+// oracle: every cell of a batched DepthSweep must equal an unbatched
+// pipeline.RunWith of that cell's (params, trace), built here in the
+// test, modulo the batch accounting counters — at more than one worker
+// count.
 func TestDepthSweepBatchedMatchesUnbatched(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		base := smallConfig()
-		base.Workers = workers
+		cfg := smallConfig()
+		cfg.Workers = workers
+		got := DepthSweep(cfg)
+		cfg = got.Config // filled: warmup, seed and tech resolved
 
-		flat := base
-		flat.DisableBatch = true
-		want := DepthSweep(flat)
-		got := DepthSweep(base)
-
+		sc := pipeline.NewScratch()
 		sawBatch := false
-		for pi := range got.Points {
-			for bi := range got.Points[pi].PerBench {
-				b := &got.Points[pi].PerBench[bi]
+		for pi, pt := range got.Points {
+			clk := fo4.Clock{Useful: pt.Useful, Overhead: cfg.Overhead}
+			p := pipeline.Params{Machine: cfg.Machine, Timing: cfg.Machine.Resolve(clk), Warmup: cfg.Warmup}
+			for ti, prof := range cfg.Benchmarks {
+				tr := cachedTrace(prof, cfg.Instructions, cfg.Seed, nil)
+				st := pipeline.RunWith(p, tr, sc)
+				want := BenchPoint{Name: tr.Name, Group: tr.Group, IPC: st.IPC,
+					BIPS: metrics.BIPS(st.IPC, clk.FrequencyHz(cfg.Tech)), Stats: st}
+
+				b := pt.PerBench[ti]
 				if b.Stats.BatchLanes > 0 {
 					sawBatch = true
 				}
 				b.Stats.BatchLanes, b.Stats.BatchSharedDecode = 0, 0
+				if b != want {
+					t.Errorf("workers=%d point %d (%g FO4) %s: sweep cell diverges from RunWith:\n got %+v\nwant %+v",
+						workers, pi, pt.Useful, tr.Name, b, want)
+				}
 			}
 		}
 		if !sawBatch {
-			t.Errorf("workers=%d: batched sweep set no batch counters — did the grid batch at all?", workers)
-		}
-		g, w := fmt.Sprintf("%#v", got.Points), fmt.Sprintf("%#v", want.Points)
-		if g != w {
-			t.Errorf("workers=%d: batched sweep diverges from per-cell sweep", workers)
+			t.Errorf("workers=%d: sweep set no batch counters — did the grid batch at all?", workers)
 		}
 	}
 }

@@ -37,35 +37,11 @@ func (c SweepConfig) cancelled() bool {
 	return c.Context != nil && c.Context.Err() != nil
 }
 
-// simTask is one fully specified pipeline simulation.
-type simTask struct {
-	params pipeline.Params
-	tr     *trace.Trace
-}
-
-// runSims executes the tasks on the sweep's worker pool, threading one
-// reusable pipeline.Scratch per worker so the steady state of a study
-// grid allocates nothing per simulation. Stats are slotted by task
-// index, so the output never depends on completion order. On
-// cancellation the unfinished slots hold zero Stats; callers check
-// cancelled() before aggregating (a zero IPC would poison the harmonic
-// means).
-func runSims(cfg SweepConfig, tasks []simTask) []pipeline.Stats {
-	cfg.Obs.Add("simulations", int64(len(tasks)))
-	stats, _ := exec.MapWithState(cfg.pool(), tasks, pipeline.NewScratch,
-		func(s *pipeline.Scratch, _ int, t simTask) pipeline.Stats {
-			return pipeline.RunWith(t.params, t.tr, s)
-		})
-	recordEconomy(cfg, stats)
-	return stats
-}
-
 // recordEconomy surfaces the simulator's work-sharing counters in the run
 // manifest: wakes actually delivered through the consumer index versus
 // the window entries the per-issue broadcast scan they replaced would
-// have touched, and (on the batched path) the lanes that shared a
-// prewarmed memory template and the instruction decodes reused from a
-// batch's first lane.
+// have touched, and the lanes that shared a prewarmed memory template
+// and the instruction decodes reused from a batch's first lane.
 func recordEconomy(cfg SweepConfig, stats []pipeline.Stats) {
 	var wakes, scanned, lanes, shared uint64
 	for i := range stats {
@@ -82,45 +58,20 @@ func recordEconomy(cfg SweepConfig, stats []pipeline.Stats) {
 	}
 }
 
-// batchState is one worker's scratch for the batched grid dispatch: the
-// per-lane Scratch set plus a reusable params header, so a steady-state
-// batch allocates only its result slice.
-type batchState struct {
-	bs     *pipeline.BatchScratch
-	params []pipeline.Params
-}
-
 // runGrid simulates the full (params × traces) product and returns stats
-// indexed [pi*len(traces)+ti], exactly like the flattened per-cell grid.
-// On the batched path (the default) the grid is grouped by trace — one
-// executor task per benchmark running every params lane through
-// pipeline.RunBatch — so the depth-invariant per-benchmark work (decode,
+// indexed [pi*len(traces)+ti]. Each executor task is one trace running
+// every params lane through pipeline.RunBatch on the worker's reusable
+// BatchScratch, so the depth-invariant per-benchmark work (decode,
 // predictor walk, consumer index, cache prewarm) happens once per
 // benchmark instead of once per cell, and consecutive lanes keep that
-// benchmark's shared arrays hot. Cell values are bit-for-bit identical
-// to the per-cell path at any worker count; only the batch accounting
-// counters (excluded from JSON) differ from an unbatched run.
+// benchmark's shared arrays hot. Each cell equals pipeline.RunWith on
+// its (params, trace) bit for bit at any worker count, apart from the
+// batch accounting counters (excluded from JSON).
 func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) []pipeline.Stats {
-	if cfg.DisableBatch {
-		tasks := make([]simTask, 0, len(params)*len(traces))
-		for _, p := range params {
-			for _, tr := range traces {
-				tasks = append(tasks, simTask{params: p, tr: tr})
-			}
-		}
-		return runSims(cfg, tasks)
-	}
-
 	cfg.Obs.Add("simulations", int64(len(params)*len(traces)))
-	batches, _ := exec.MapGroupsWithState(cfg.pool(), traceGroups(params, traces),
-		func() *batchState { return &batchState{bs: pipeline.NewBatchScratch()} },
-		func(st *batchState, _ int, group []simTask) []pipeline.Stats {
-			ps := st.params[:0]
-			for _, t := range group {
-				ps = append(ps, t.params)
-			}
-			st.params = ps
-			return pipeline.RunBatch(ps, group[0].tr, st.bs.Lanes(len(ps)))
+	batches, _ := exec.MapWithState(cfg.pool(), traces, pipeline.NewBatchScratch,
+		func(bs *pipeline.BatchScratch, _ int, tr *trace.Trace) []pipeline.Stats {
+			return pipeline.RunBatch(params, tr, bs.Lanes(len(params)))
 		})
 
 	stats := make([]pipeline.Stats, len(params)*len(traces))
@@ -134,21 +85,6 @@ func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) [
 	}
 	recordEconomy(cfg, stats)
 	return stats
-}
-
-// traceGroups shapes the (params × traces) grid into one task group per
-// trace, each group listing that benchmark's lanes in params order.
-func traceGroups(params []pipeline.Params, traces []*trace.Trace) [][]simTask {
-	groups := make([][]simTask, len(traces))
-	cells := make([]simTask, len(params)*len(traces))
-	for ti, tr := range traces {
-		g := cells[ti*len(params) : (ti+1)*len(params) : (ti+1)*len(params)]
-		for pi, p := range params {
-			g[pi] = simTask{params: p, tr: tr}
-		}
-		groups[ti] = g
-	}
-	return groups
 }
 
 // traceKey identifies one generated trace. Profile is a comparable value

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/config"
 	"repro/internal/fo4"
@@ -317,43 +318,28 @@ func (o PointOptions) params() (pipeline.Params, fo4.Clock) {
 }
 
 // SimulatePoint runs one point and returns its per-benchmark result at
-// the 100nm technology point the paper reports. rec, when non-nil,
-// receives the trace-cache counters; it never influences the result.
+// the 100nm technology point the paper reports: a one-lane
+// SimulateBatch. rec, when non-nil, receives the trace-cache counters;
+// it never influences the result.
 func SimulatePoint(o PointOptions, rec *obs.Recorder) (BenchPoint, error) {
-	o = o.Normalize()
-	if err := o.Validate(); err != nil {
+	out, err := SimulateBatch([]PointOptions{o}, nil, rec)
+	if err != nil {
 		return BenchPoint{}, err
 	}
-	prof, _ := ProfileByName(o.Benchmark)
-	tr := cachedTrace(prof, o.Instructions, o.Seed, rec)
-	p, clk := o.params()
-	return pointResult(pipeline.Run(p, tr), tr, clk), nil
-}
-
-// SimulatePointWith is SimulatePoint on a caller-owned Scratch, for
-// callers (like the serving layer's executor workers) that amortize
-// allocations across many points.
-func SimulatePointWith(o PointOptions, s *pipeline.Scratch, rec *obs.Recorder) (BenchPoint, error) {
-	o = o.Normalize()
-	if err := o.Validate(); err != nil {
-		return BenchPoint{}, err
-	}
-	prof, _ := ProfileByName(o.Benchmark)
-	tr := cachedTrace(prof, o.Instructions, o.Seed, rec)
-	p, clk := o.params()
-	return pointResult(pipeline.RunWith(p, tr, s), tr, clk), nil
+	return out[0], nil
 }
 
 // SimulateBatch simulates every point of opts — all of which must
 // resolve to the same trace (benchmark, instructions, seed) — in one
 // batched pass over that trace: the depth-invariant per-benchmark work
 // is done once and shared through pipeline.RunBatch instead of once per
-// point. out[i] equals what SimulatePointWith(opts[i], ...) returns,
-// except for the batch accounting counters (excluded from JSON) that
-// only the batched path sets; the serving layer's byte-identity test
-// pins that equivalence on the wire. bs amortizes per-lane scratch
-// state across successive batches (nil builds a throwaway) and, like
-// every Scratch, must not be shared by concurrent calls.
+// point. out[i] carries exactly the Stats pipeline.RunWith computes for
+// opts[i] on its own, apart from the batch accounting counters
+// (excluded from JSON); the core batch test pins that equivalence and
+// the serving layer's byte-identity test pins it on the wire. bs
+// amortizes per-lane scratch state across successive batches (nil
+// borrows one from a package pool) and, like every Scratch, must not be
+// shared by concurrent calls.
 func SimulateBatch(opts []PointOptions, bs *pipeline.BatchScratch, rec *obs.Recorder) ([]BenchPoint, error) {
 	if len(opts) == 0 {
 		return nil, nil
@@ -374,7 +360,8 @@ func SimulateBatch(opts []PointOptions, bs *pipeline.BatchScratch, rec *obs.Reco
 		}
 	}
 	if bs == nil {
-		bs = pipeline.NewBatchScratch()
+		bs = batchScratchPool.Get().(*pipeline.BatchScratch)
+		defer batchScratchPool.Put(bs)
 	}
 	prof, _ := ProfileByName(first.Benchmark)
 	tr := cachedTrace(prof, first.Instructions, first.Seed, rec)
@@ -390,6 +377,10 @@ func SimulateBatch(opts []PointOptions, bs *pipeline.BatchScratch, rec *obs.Reco
 	}
 	return out, nil
 }
+
+// batchScratchPool serves the callers of SimulateBatch (SimulatePoint
+// among them) that pass no BatchScratch of their own.
+var batchScratchPool = sync.Pool{New: func() any { return pipeline.NewBatchScratch() }}
 
 func pointResult(st pipeline.Stats, tr *trace.Trace, clk fo4.Clock) BenchPoint {
 	freq := clk.FrequencyHz(fo4.Tech100nm)

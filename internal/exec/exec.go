@@ -98,8 +98,8 @@ func Map[T, R any](p Pool, items []T, fn func(int, T) R) ([]R, error) {
 // MapWithState is Map with per-worker scratch state: newState runs once
 // per worker, on that worker's goroutine (the serial path is a single
 // worker), and fn receives that worker's state on every job it runs.
-// The sweep engine uses it to thread one pipeline.Scratch per worker
-// through a whole study grid.
+// The sweep engine uses it to thread one pipeline.BatchScratch per
+// worker through a whole study grid, one task per benchmark trace.
 //
 // Determinism contract: state is an allocation amortizer, never an
 // input. fn's result must be a pure function of (index, item) alone —
@@ -176,13 +176,13 @@ func MapWithState[T, R, S any](p Pool, items []T, newState func() S, fn func(sta
 
 // MapGroupsWithState is MapWithState over a pre-grouped grid: groups[i]
 // is one indivisible unit of work handed whole to fn, which returns one
-// result slice for the group. The sweep engine uses it to dispatch one
-// batched simulation per benchmark trace — every depth of that benchmark
-// in one call — while keeping the pool's contracts: results are slotted
-// by group index, observation hooks and Skip fire once per group, and
-// fn's output must be a pure function of (group index, items) so the
-// flattened grid is byte-for-byte identical at any worker count. On
-// cancellation, unrun groups hold nil slices.
+// result slice for the group. The serving scheduler uses it to dispatch
+// one batched simulation per benchmark trace — every queued depth of
+// that benchmark in one call — while keeping the pool's contracts:
+// results are slotted by group index, observation hooks and Skip fire
+// once per group, and fn's output must be a pure function of (group
+// index, items) so the flattened grid is byte-for-byte identical at any
+// worker count. On cancellation, unrun groups hold nil slices.
 func MapGroupsWithState[T, R, S any](p Pool, groups [][]T, newState func() S, fn func(state S, group int, items []T) []R) ([][]R, error) {
 	return MapWithState(p, groups, newState, func(s S, gi int, items []T) []R {
 		return fn(s, gi, items)

@@ -17,10 +17,11 @@ import (
 // Contract: a Scratch may serve any number of sequential RunWith calls —
 // every run fully re-initializes the state it reads, so results are a
 // pure function of (Params, Trace) regardless of what ran before — but
-// it must never be shared by concurrent runs. The sweep engine threads
-// one Scratch per worker through exec.MapWithState; plain Run borrows
-// one from a package pool. Traces stay immutable throughout: a Scratch
-// only ever holds simulator-private state, never trace data.
+// it must never be shared by concurrent runs. The sweep engine and the
+// serving scheduler thread one BatchScratch (a Scratch per lane) per
+// worker through the deterministic executor; plain Run borrows one from
+// a package pool. Traces stay immutable throughout: a Scratch only ever
+// holds simulator-private state, never trace data.
 type Scratch struct {
 	// Per-instruction arenas, sized to the trace on each run. The data
 	// (consumer-visible, post-bypass) and complete (executed) timestamps

@@ -2,10 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // postSweepBody sends one sweep request and returns the raw response
@@ -29,57 +33,57 @@ func postSweepBody(t *testing.T, url, body string) []byte {
 }
 
 // TestBatchedSweepBytesIdentical is the serving layer's batch oracle:
-// the same multi-depth, multi-benchmark sweep against a batched and an
-// unbatched daemon must produce byte-identical NDJSON bodies and the
-// same cache economy. The grid shape (5 depths x 2 benchmarks, one
-// repeated depth list entry collapsing in expansion) is exactly the
-// case the grouped dispatch accelerates, so any accounting that leaked
-// into the wire format would show up here.
+// a multi-depth, multi-benchmark sweep must stream exactly the bytes
+// built here point by point from core.SimulatePoint — each line the
+// marshaled PointResult plus its newline, then the done trailer — and
+// keep the cache economy of one simulation per distinct point. The grid
+// shape (5 depths x 2 benchmarks) is exactly the case the grouped
+// dispatch accelerates, so any accounting that leaked into the wire
+// format would show up here.
 func TestBatchedSweepBytesIdentical(t *testing.T) {
-	const req = `{"useful":[2,4,6,8,16],"benchmarks":["gcc","swim"],"instructions":4000}`
+	const body = `{"useful":[2,4,6,8,16],"benchmarks":["gcc","swim"],"instructions":4000}`
 
-	_, batched := newTestServer(t, Config{Workers: 2})
-	srvFlat, flat := newTestServer(t, Config{Workers: 2, DisableBatch: true})
-	if srvFlat.sched.batch {
-		t.Fatal("DisableBatch did not reach the scheduler")
+	srv, ts := newTestServer(t, Config{Workers: 2})
+	var req SweepRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
 	}
-
-	bodyBatched := postSweepBody(t, batched.URL, req)
-	bodyFlat := postSweepBody(t, flat.URL, req)
-	if !bytes.Equal(bodyBatched, bodyFlat) {
-		t.Fatalf("batched and unbatched sweep bodies differ:\nbatched: %s\nflat:    %s", bodyBatched, bodyFlat)
+	pts, keys, err := req.Points(srv.cfg.CodeVersion, Limits{})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// A repeat of the same request must be a pure cache replay on both
-	// daemons — same bytes again, and an economy that agrees: every
-	// point simulated exactly once, the second pass all hits.
-	if again := postSweepBody(t, batched.URL, req); !bytes.Equal(again, bodyBatched) {
-		t.Fatal("batched daemon's cached replay differs from its first stream")
-	}
-	if again := postSweepBody(t, flat.URL, req); !bytes.Equal(again, bodyFlat) {
-		t.Fatal("unbatched daemon's cached replay differs from its first stream")
-	}
-
-	stB := getStats(t, batched.URL)
-	stF := getStats(t, flat.URL)
-	for _, c := range []struct {
-		name          string
-		batched, flat int64
-	}{
-		{"cache_hits", stB.CacheHits, stF.CacheHits},
-		{"cache_misses", stB.CacheMisses, stF.CacheMisses},
-		{"points_done", stB.PointsDone, stF.PointsDone},
-		{"dedup_joins", stB.DedupJoins, stF.DedupJoins},
-	} {
-		if c.batched != c.flat {
-			t.Errorf("%s: batched %d, unbatched %d — cache economy must not depend on batching", c.name, c.batched, c.flat)
+	var want bytes.Buffer
+	for i, o := range pts {
+		res, err := core.SimulatePoint(o, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
+		line, err := json.Marshal(newPointResult(keys[i], o, res))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(line)
+		want.WriteByte('\n')
 	}
-	if stB.CacheMisses != 10 {
-		t.Errorf("cache_misses = %d, want 10 (5 depths x 2 benchmarks, simulated once)", stB.CacheMisses)
+	fmt.Fprintf(&want, "{\"done\":true,\"points\":%d}\n", len(pts))
+
+	got := postSweepBody(t, ts.URL, body)
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("batched sweep body differs from the per-point oracle:\nbatched: %s\noracle:  %s", got, want.Bytes())
 	}
-	if stB.CacheHits != 10 {
-		t.Errorf("cache_hits = %d, want 10 (the full repeat request)", stB.CacheHits)
+
+	// A repeat of the same request must be a pure cache replay — same
+	// bytes again, every point simulated exactly once, the second pass
+	// all hits.
+	if again := postSweepBody(t, ts.URL, body); !bytes.Equal(again, got) {
+		t.Fatal("cached replay differs from the first stream")
+	}
+	st := getStats(t, ts.URL)
+	if st.CacheMisses != 10 || st.PointsDone != 10 {
+		t.Errorf("cache_misses = %d, points_done = %d; want 10, 10 (5 depths x 2 benchmarks, simulated once)", st.CacheMisses, st.PointsDone)
+	}
+	if st.CacheHits != 10 {
+		t.Errorf("cache_hits = %d, want 10 (the full repeat request)", st.CacheHits)
 	}
 }
 

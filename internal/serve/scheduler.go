@@ -5,12 +5,12 @@ package serve
 // points, and one dispatcher that feeds queued points through the
 // deterministic executor (internal/exec) in batches — grouped by
 // benchmark trace, so the depths of a multi-depth sweep share one trace
-// walk (core.SimulateBatch) — with one reusable scratch per worker.
-// Concurrent clients asking overlapping
-// grids attach to the same job, so each distinct point simulates at most
-// once per process; a point whose every requester has disconnected is
-// pruned from the queue immediately (or skipped mid-batch through the
-// executor's Skip hook) instead of burning simulation time for nobody.
+// walk (core.SimulateBatch) — with one reusable BatchScratch per worker.
+// Concurrent clients asking overlapping grids attach to the same job, so
+// each distinct point simulates at most once per process; a point whose
+// every requester has disconnected is pruned from the queue immediately
+// (or skipped mid-batch through the executor's Skip hook) instead of
+// burning simulation time for nobody.
 
 import (
 	"encoding/json"
@@ -91,7 +91,6 @@ type scheduler struct {
 	workers     int
 	codeVersion string
 	queueLimit  int
-	batch       bool // group a batch's points by benchmark trace (see runGrouped)
 	cache       store.ResultStore
 
 	mu       sync.Mutex
@@ -105,7 +104,7 @@ type scheduler struct {
 	stopped chan struct{}
 }
 
-func newScheduler(workers, queueLimit int, cache store.ResultStore, codeVersion string, batch bool, rec *obs.Recorder, log *slog.Logger, metrics *serverMetrics) *scheduler {
+func newScheduler(workers, queueLimit int, cache store.ResultStore, codeVersion string, rec *obs.Recorder, log *slog.Logger, metrics *serverMetrics) *scheduler {
 	if log == nil {
 		log = slog.Default()
 	}
@@ -119,7 +118,6 @@ func newScheduler(workers, queueLimit int, cache store.ResultStore, codeVersion 
 		workers:     workers,
 		codeVersion: codeVersion,
 		queueLimit:  queueLimit,
-		batch:       batch,
 		cache:       cache,
 		inflight:    map[string]*job{},
 		wake:        make(chan struct{}, 1),
@@ -127,9 +125,9 @@ func newScheduler(workers, queueLimit int, cache store.ResultStore, codeVersion 
 		stopped:     make(chan struct{}),
 	}
 	// The dispatcher is the one goroutine the serving layer owns; every
-	// simulation it dispatches still runs through exec.MapWithState, so
-	// parallel work stays behind the deterministic pool.
-	go s.run() //reprolint:allow goroutinescope: the dispatcher only moves queued jobs into exec.MapWithState batches; all simulation parallelism stays behind the deterministic executor
+	// simulation it dispatches still runs through exec.MapGroupsWithState,
+	// so parallel work stays behind the deterministic pool.
+	go s.run() //reprolint:allow goroutinescope: the dispatcher only moves queued jobs into exec.MapGroupsWithState batches; all simulation parallelism stays behind the deterministic executor
 	return s
 }
 
@@ -267,22 +265,16 @@ func (s *scheduler) takeBatch() []*job {
 	return batch
 }
 
-// runBatch simulates one batch on the deterministic executor. On the
-// batched path (the default) the jobs are first grouped by benchmark
-// trace, so a multi-depth sweep runs every depth of a benchmark through
-// one pipeline.RunBatch walk; -batch=false keeps the per-point flat
-// path. Either way each job finalizes (cache write + done close) the
-// moment its point completes, so request streams advance while the
-// batch is still running; jobs whose waiters all vanished are skipped
-// by the executor and either requeued (a new waiter attached in the
-// window before the skip) or dropped.
+// runBatch simulates one batch on the deterministic executor, grouped
+// by benchmark trace so a multi-depth sweep runs every depth of a
+// benchmark through one pipeline.RunBatch walk (see runGrouped). Each
+// job finalizes (cache write + done close) the moment its group
+// completes, so request streams advance while the batch is still
+// running; jobs whose waiters all vanished are skipped by the executor
+// and either requeued (a new waiter attached in the window before the
+// skip) or dropped.
 func (s *scheduler) runBatch(batch []*job) {
-	if s.batch {
-		s.runGrouped(batch)
-	} else {
-		s.runFlat(batch)
-	}
-
+	s.runGrouped(batch)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.running -= len(batch)
@@ -302,26 +294,6 @@ func (s *scheduler) runBatch(batch []*job) {
 		close(j.done)
 		s.rec.Add("points_dropped", 1)
 	}
-}
-
-// runFlat simulates a batch point by point, one reusable Scratch per
-// worker: the pre-batching dispatch, kept behind -batch=false as the
-// A/B reference for the grouped path.
-func (s *scheduler) runFlat(batch []*job) {
-	pool := exec.Pool{
-		Workers:     s.workers,
-		OnTaskStart: s.rec.TaskStart,
-		OnTaskDone:  s.rec.TaskDone,
-		Skip:        func(i int) bool { return batch[i].waiters.Load() <= 0 },
-	}
-	exec.MapWithState(pool, batch, pipeline.NewScratch,
-		func(sc *pipeline.Scratch, _ int, j *job) struct{} {
-			j.ran = true
-			s.metrics.queueWait.Observe(time.Since(j.enqueued).Seconds())
-			res, err := core.SimulatePointWith(j.opts, sc, s.rec)
-			s.finishJob(j, res, err)
-			return struct{}{}
-		})
 }
 
 // traceIdent is the normalized trace identity the grouped dispatch
@@ -345,9 +317,9 @@ func identOf(o core.PointOptions) traceIdent {
 // when every lane lost its waiters; a group that runs re-filters its
 // lanes, so a point abandoned after the group check simply isn't
 // simulated and takes the usual requeue-or-drop path after the batch.
-// Result lines are byte-identical to runFlat's — the batch accounting
-// counters are excluded from the wire format — which the serve tests
-// pin.
+// The batch accounting counters stay off the wire, so a point's line is
+// the same bytes whatever group it ran in; the serve tests pin it
+// against core.SimulatePoint.
 func (s *scheduler) runGrouped(batch []*job) {
 	groups := make([][]*job, 0, len(batch))
 	index := make(map[traceIdent]int, len(batch))

@@ -9,8 +9,8 @@ package serve
 // machinery by hand and the interleaving is exact.
 
 import (
+	"encoding/json"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net/http/httptest"
 	"strings"
@@ -25,7 +25,7 @@ const edgeVersion = "edge-v"
 
 // newEdgeScheduler builds a scheduler with no dispatcher goroutine: the
 // test is the dispatcher, calling takeBatch/runBatch itself.
-func newEdgeScheduler(batch bool, queueLimit int) *scheduler {
+func newEdgeScheduler(queueLimit int) *scheduler {
 	return &scheduler{
 		rec:         obs.New(nil),
 		log:         slog.Default(),
@@ -33,7 +33,6 @@ func newEdgeScheduler(batch bool, queueLimit int) *scheduler {
 		workers:     1,
 		codeVersion: edgeVersion,
 		queueLimit:  queueLimit,
-		batch:       batch,
 		cache:       store.NewMemory(64, nil),
 		inflight:    map[string]*job{},
 		wake:        make(chan struct{}, 1),
@@ -69,7 +68,7 @@ func closedWithErr(j *job) (bool, error) {
 // default to no-ops. Admit-after-close through the Server is pinned in
 // serve_test.go; this is the bare-scheduler variant.
 func TestNewSchedulerNilObservabilityDefaults(t *testing.T) {
-	s := newScheduler(1, 8, store.NewMemory(8, nil), edgeVersion, true, nil, nil, nil)
+	s := newScheduler(1, 8, store.NewMemory(8, nil), edgeVersion, nil, nil, nil)
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
 	tickets, adm, err := s.admit(pts, keys, "t1")
 	if err != nil || adm.misses != 1 {
@@ -86,7 +85,7 @@ func TestNewSchedulerNilObservabilityDefaults(t *testing.T) {
 }
 
 func TestAdmitQueueFullEnqueuesNothing(t *testing.T) {
-	s := newEdgeScheduler(true, 1)
+	s := newEdgeScheduler(1)
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6, 8})
 	if _, _, err := s.admit(pts, keys, "t1"); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("admit past queueLimit = %v, want ErrQueueFull", err)
@@ -105,7 +104,7 @@ func TestAdmitQueueFullEnqueuesNothing(t *testing.T) {
 // released point that nobody else wants leaves the queue immediately,
 // finalized as cancelled, and is counted dropped.
 func TestReleasePrunesQueuedJobs(t *testing.T) {
-	s := newEdgeScheduler(true, 8)
+	s := newEdgeScheduler(8)
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6, 8})
 	tickets, adm, err := s.admit(pts, keys, "t1")
 	if err != nil || adm.misses != 2 {
@@ -129,7 +128,7 @@ func TestReleasePrunesQueuedJobs(t *testing.T) {
 // TestReleaseKeepsSharedJobs: a queued job survives one requester's
 // disconnect as long as another stream still wants it.
 func TestReleaseKeepsSharedJobs(t *testing.T) {
-	s := newEdgeScheduler(true, 8)
+	s := newEdgeScheduler(8)
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
 	first, adm1, err := s.admit(pts, keys, "t1")
 	if err != nil || adm1.misses != 1 {
@@ -162,7 +161,7 @@ func TestReleaseKeepsSharedJobs(t *testing.T) {
 // TestReleaseSkipsResolvedTickets: tickets satisfied from the cache at
 // admission carry no job; release must walk past them.
 func TestReleaseSkipsResolvedTickets(t *testing.T) {
-	s := newEdgeScheduler(true, 8)
+	s := newEdgeScheduler(8)
 	s.cache.Put("warm-key", []byte(`{"key":"warm-key"}`+"\n"))
 	pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
 	tickets, _, err := s.admit(pts, keys, "t1")
@@ -185,7 +184,7 @@ func TestReleaseSkipsResolvedTickets(t *testing.T) {
 // before the dispatcher claims the queue. takeBatch must drop it, not
 // hand it to the executor.
 func TestTakeBatchDropsAbandonedJobs(t *testing.T) {
-	s := newEdgeScheduler(true, 8)
+	s := newEdgeScheduler(8)
 	pts, keys := edgePoints(t, []string{"gcc", "swim"}, []float64{6})
 	tickets, _, err := s.admit(pts, keys, "t1")
 	if err != nil {
@@ -215,75 +214,73 @@ func TestTakeBatchDropsAbandonedJobs(t *testing.T) {
 // waiters vanished after the batch was claimed; the post-batch sweep
 // finalizes it as dropped.
 func TestRunBatchDropsJobsAbandonedMidBatch(t *testing.T) {
-	for _, batched := range []bool{true, false} {
-		t.Run(fmt.Sprintf("batch=%v", batched), func(t *testing.T) {
-			s := newEdgeScheduler(batched, 8)
-			pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
-			tickets, _, err := s.admit(pts, keys, "t1")
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch := s.takeBatch()
-			if len(batch) != 1 {
-				t.Fatalf("batch size %d, want 1", len(batch))
-			}
-			tickets[0].job.waiters.Add(-1) // client gone while the batch is in hand
-			s.runBatch(batch)
-			done, jerr := closedWithErr(tickets[0].job)
-			if !done || !errors.Is(jerr, errCancelled) {
-				t.Fatalf("abandoned mid-batch job: done=%v err=%v, want cancelled", done, jerr)
-			}
-			if got := s.rec.Counter("points_dropped"); got != 1 {
-				t.Fatalf("points_dropped = %d, want 1", got)
-			}
-			if got := s.rec.Counter("simulations"); got != 0 {
-				t.Fatalf("simulations = %d for a batch nobody wanted", got)
-			}
-			if len(s.queue) != 0 || len(s.inflight) != 0 || s.running != 0 {
-				t.Fatalf("post-batch state leaked: queue %d inflight %d running %d",
-					len(s.queue), len(s.inflight), s.running)
-			}
-		})
-	}
+	// The subtest name predates the removal of the flat dispatch; the
+	// grouped dispatch it named is the only one left.
+	t.Run("batch=true", func(t *testing.T) {
+		s := newEdgeScheduler(8)
+		pts, keys := edgePoints(t, []string{"gcc"}, []float64{6})
+		tickets, _, err := s.admit(pts, keys, "t1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := s.takeBatch()
+		if len(batch) != 1 {
+			t.Fatalf("batch size %d, want 1", len(batch))
+		}
+		tickets[0].job.waiters.Add(-1) // client gone while the batch is in hand
+		s.runBatch(batch)
+		done, jerr := closedWithErr(tickets[0].job)
+		if !done || !errors.Is(jerr, errCancelled) {
+			t.Fatalf("abandoned mid-batch job: done=%v err=%v, want cancelled", done, jerr)
+		}
+		if got := s.rec.Counter("points_dropped"); got != 1 {
+			t.Fatalf("points_dropped = %d, want 1", got)
+		}
+		if got := s.rec.Counter("simulations"); got != 0 {
+			t.Fatalf("simulations = %d for a batch nobody wanted", got)
+		}
+		if len(s.queue) != 0 || len(s.inflight) != 0 || s.running != 0 {
+			t.Fatalf("post-batch state leaked: queue %d inflight %d running %d",
+				len(s.queue), len(s.inflight), s.running)
+		}
+	})
 }
 
 // TestRunGroupedPartitionsByTrace: a mixed batch splits into per-trace
-// groups, every live point simulates exactly once, and the grouped lines
-// are byte-identical to the flat path's.
+// groups, every live point simulates exactly once, and each grouped line
+// is byte-identical to the line built from core.SimulatePoint alone.
 func TestRunGroupedPartitionsByTrace(t *testing.T) {
-	// gcc×{6,8} share one trace; swim×6 is its own group.
+	// gcc×{6,8} share one trace; swim×{6,8} share another.
 	pts, keys := edgePoints(t, []string{"gcc", "swim"}, []float64{6, 8})
 	if len(pts) != 4 {
 		t.Fatalf("grid expanded to %d points, want 4", len(pts))
 	}
 
-	runAll := func(batched bool) map[string]string {
-		s := newEdgeScheduler(batched, 8)
-		tickets, _, err := s.admit(pts, keys, "t1")
+	s := newEdgeScheduler(8)
+	tickets, _, err := s.admit(pts, keys, "t1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.runBatch(s.takeBatch())
+	for i, tk := range tickets {
+		done, jerr := closedWithErr(tk.job)
+		if !done || jerr != nil {
+			t.Fatalf("point %s: done=%v err=%v", keys[i], done, jerr)
+		}
+		res, err := core.SimulatePoint(pts[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.runBatch(s.takeBatch())
-		lines := map[string]string{}
-		for i, tk := range tickets {
-			done, jerr := closedWithErr(tk.job)
-			if !done || jerr != nil {
-				t.Fatalf("point %s: done=%v err=%v", keys[i], done, jerr)
-			}
-			lines[keys[i]] = string(tk.job.line)
+		want, err := json.Marshal(newPointResult(keys[i], pts[i], res))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := s.rec.Counter("simulations"); got != int64(len(pts)) {
-			t.Fatalf("simulations = %d, want %d", got, len(pts))
+		if got := string(tk.job.line); got != string(want)+"\n" {
+			t.Fatalf("grouped line for %s differs from the single-point oracle:\n  grouped: %s\n  oracle:  %s", keys[i], got, want)
 		}
-		return lines
 	}
-
-	grouped := runAll(true)
-	flat := runAll(false)
-	for k, g := range grouped {
-		if f := flat[k]; f != g {
-			t.Fatalf("grouped and flat dispatch disagree for %s:\n  grouped: %s\n  flat:    %s", k, g, f)
-		}
+	if got := s.rec.Counter("simulations"); got != int64(len(pts)) {
+		t.Fatalf("simulations = %d, want %d", got, len(pts))
 	}
 }
 
@@ -292,7 +289,7 @@ func TestRunGroupedPartitionsByTrace(t *testing.T) {
 // it — while the other group still runs.
 func TestRunGroupedSkipsAbandonedGroup(t *testing.T) {
 	pts, keys := edgePoints(t, []string{"gcc", "swim"}, []float64{6, 8})
-	s := newEdgeScheduler(true, 8)
+	s := newEdgeScheduler(8)
 	tickets, _, err := s.admit(pts, keys, "t1")
 	if err != nil {
 		t.Fatal(err)
@@ -329,30 +326,30 @@ func TestRunGroupedSkipsAbandonedGroup(t *testing.T) {
 // TestFinishJobSimulationError: admission doesn't re-validate what it is
 // handed (the HTTP layer does), so a direct caller can enqueue a point
 // the simulator rejects. The error must surface on the job — uncached,
-// stream-visible — on both dispatch paths.
+// stream-visible.
 func TestFinishJobSimulationError(t *testing.T) {
-	for _, batched := range []bool{true, false} {
-		t.Run(fmt.Sprintf("batch=%v", batched), func(t *testing.T) {
-			s := newEdgeScheduler(batched, 8)
-			bad := core.PointOptions{Benchmark: "doom", Useful: 8}.Normalize()
-			key := bad.Key(edgeVersion)
-			tickets, adm, err := s.admit([]core.PointOptions{bad}, []string{key}, "t1")
-			if err != nil || adm.misses != 1 {
-				t.Fatalf("admit: %v %+v", err, adm)
-			}
-			s.runBatch(s.takeBatch())
-			done, jerr := closedWithErr(tickets[0].job)
-			if !done || jerr == nil || !strings.Contains(jerr.Error(), "unknown benchmark") {
-				t.Fatalf("bad point: done=%v err=%v, want an unknown-benchmark error", done, jerr)
-			}
-			if _, ok := s.cache.Get(key); ok {
-				t.Fatal("a failed simulation landed in the cache")
-			}
-			if got := s.rec.Counter("points_done"); got != 0 {
-				t.Fatalf("points_done = %d for a failed point", got)
-			}
-		})
-	}
+	// The subtest name predates the removal of the flat dispatch; the
+	// grouped dispatch it named is the only one left.
+	t.Run("batch=true", func(t *testing.T) {
+		s := newEdgeScheduler(8)
+		bad := core.PointOptions{Benchmark: "doom", Useful: 8}.Normalize()
+		key := bad.Key(edgeVersion)
+		tickets, adm, err := s.admit([]core.PointOptions{bad}, []string{key}, "t1")
+		if err != nil || adm.misses != 1 {
+			t.Fatalf("admit: %v %+v", err, adm)
+		}
+		s.runBatch(s.takeBatch())
+		done, jerr := closedWithErr(tickets[0].job)
+		if !done || jerr == nil || !strings.Contains(jerr.Error(), "unknown benchmark") {
+			t.Fatalf("bad point: done=%v err=%v, want an unknown-benchmark error", done, jerr)
+		}
+		if _, ok := s.cache.Get(key); ok {
+			t.Fatal("a failed simulation landed in the cache")
+		}
+		if got := s.rec.Counter("points_done"); got != 0 {
+			t.Fatalf("points_done = %d for a failed point", got)
+		}
+	})
 }
 
 // TestStreamErrorLine pins the uncached error line's wire shape.

@@ -107,14 +107,6 @@ type Config struct {
 	// request is logged at Warn and counted in
 	// sweep_slow_requests_total; 0 disables the slow log.
 	SlowRequest time.Duration
-
-	// DisableBatch turns off the per-benchmark batch dispatch: every
-	// point simulates on the flat per-point executor path instead of
-	// grouping with the other queued points that share its trace.
-	// Response bodies and the cache economy are identical either way
-	// (the serve tests pin byte-identity); the flag exists as the A/B
-	// reference for the batched path and as an operator escape hatch.
-	DisableBatch bool
 }
 
 func (c Config) withDefaults() Config {
@@ -199,7 +191,7 @@ func New(cfg Config) *Server {
 	// s and only dereference s.sched at scrape time, while the scheduler
 	// needs the histogram handles at construction.
 	s.metrics = newServerMetrics(!cfg.DisableMetrics, s)
-	s.sched = newScheduler(cfg.Workers, cfg.QueueLimit, cfg.Store, cfg.CodeVersion, !cfg.DisableBatch, cfg.Rec, cfg.Log, s.metrics)
+	s.sched = newScheduler(cfg.Workers, cfg.QueueLimit, cfg.Store, cfg.CodeVersion, cfg.Rec, cfg.Log, s.metrics)
 	s.delta, _ = cfg.Store.(DeltaSource)
 	s.mux.HandleFunc("/sweep", s.handleSweep)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
