@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-stats fuzz-smoke bench-smoke bench-compare bench-record telemetry-smoke chaos-smoke run-regression-seeds cover profile check
+.PHONY: build test race vet lint lint-stats fuzz-smoke bench-smoke bench-compare bench-record chaos-smoke run-regression-seeds cover profile check
 
 build:
 	$(GO) build ./...
@@ -54,25 +54,21 @@ bench-smoke:
 # reason. CI fails on a regression beyond BENCH_THRESHOLD — tighten it
 # for a real measurement run, and re-record the baseline after any
 # intentional perf change (see EXPERIMENTS.md for the capture workflow).
+# -cpu 1 pins GOMAXPROCS to the baseline's: the worker pool allocates
+# per-worker state, so allocs/op only compare at equal core counts.
 BENCH_THRESHOLD ?= 50
 BENCH_TIME ?= 2x
 
 bench-compare:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCH_TIME) . > /tmp/bench_current.txt
+	$(GO) test -run '^$$' -bench . -benchtime $(BENCH_TIME) -cpu 1 . > /tmp/bench_current.txt
 	$(GO) run ./cmd/benchdiff -threshold $(BENCH_THRESHOLD) BENCH_baseline.json /tmp/bench_current.txt
 
 # Re-record the perf baseline from a fresh run at the same -benchtime
-# the gate uses. Run this after an intentional perf change, on a quiet
+# and -cpu the gate uses. Run this after an intentional perf change, on a quiet
 # machine, and commit the resulting BENCH_baseline.json.
 bench-record:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCH_TIME) . > /tmp/bench_record.txt
+	$(GO) test -run '^$$' -bench . -benchtime $(BENCH_TIME) -cpu 1 . > /tmp/bench_record.txt
 	$(GO) run ./cmd/benchdiff -record BENCH_baseline.json /tmp/bench_record.txt
-
-# End-to-end telemetry check: run a small sweep with profiling and a
-# manifest, then assert the manifest parses and carries the required keys.
-telemetry-smoke:
-	$(GO) run ./cmd/pipesweep -n 2000 -cpuprofile /tmp/cpu.pprof -manifest /tmp/manifest.json > /dev/null
-	$(GO) run ./cmd/manifestcheck /tmp/manifest.json
 
 # Chaos smoke: two bounded runs of the seeded fault-injection harness
 # (internal/chaos) against the real sweepd binary — one pinned seed so
@@ -110,8 +106,8 @@ cover:
 # CPU + heap profiles (and a manifest) for the depth sweep; inspect with
 #   $(GO) tool pprof -top cpu.pprof
 profile:
-	$(GO) run ./cmd/pipesweep -fig 5 -n 20000 \
-		-cpuprofile cpu.pprof -memprofile mem.pprof -manifest profile-manifest.json > /dev/null
+	$(GO) run ./cmd/experiments -n 20000 \
+		-cpuprofile cpu.pprof -memprofile mem.pprof -manifest profile-manifest.json figure5 > /dev/null
 	@echo "wrote cpu.pprof, mem.pprof, profile-manifest.json"
 	@echo "inspect with: $(GO) tool pprof -top cpu.pprof"
 

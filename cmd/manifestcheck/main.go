@@ -1,8 +1,9 @@
-// Command manifestcheck validates a run-manifest JSON produced by any
-// study binary's -manifest flag: it must parse, carry the required
-// environment and telemetry keys, and round-trip through encoding/json.
-// CI's telemetry smoke step runs it against a fresh cmd/pipesweep
-// manifest; use it locally to sanity-check recorded perf runs.
+// Command manifestcheck validates a run-manifest JSON written by a
+// -manifest flag (cmd/experiments, cmd/sweepd, the root benchmarks): it
+// must parse, carry the required environment and telemetry keys, and
+// round-trip through encoding/json. The clitest suite runs it against a
+// fresh cmd/experiments manifest and make bench-smoke against the
+// benchmark one; use it locally to sanity-check recorded perf runs.
 package main
 
 import (

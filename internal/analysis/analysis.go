@@ -41,7 +41,7 @@ type Analyzer struct {
 	Doc string
 	// Appl reports whether the rule applies to a package, identified by
 	// its module-root-relative directory ("" is the module root,
-	// "internal/core", "cmd/pipesweep", ...). A nil Appl applies
+	// "internal/core", "cmd/experiments", ...). A nil Appl applies
 	// everywhere. Per-package Run passes skip packages outside the
 	// scope; module rules consult it through ModulePass.InScope.
 	Appl func(rel string) bool

@@ -171,14 +171,14 @@ func TestScopes(t *testing.T) {
 		{"nondeterminism", "internal/obs", true},
 		{"nondeterminism", "internal/analysis", true},
 		{"nondeterminism", "internal/obs/promtext", true},
-		{"nondeterminism", "cmd/pipesweep", false},
+		{"nondeterminism", "cmd/experiments", false},
 		{"mapiter", "internal/core", true},
 		{"mapiter", "internal/obs", false},
 		{"mapiter", "internal/analysis", true},
 		{"mapiter", "internal/obs/promtext", true},
 		{"traceimmutable", "internal/trace", false},
 		{"traceimmutable", "internal/pipeline", true},
-		{"traceimmutable", "cmd/pipesweep", true},
+		{"traceimmutable", "cmd/experiments", true},
 		{"obsinert", "internal/experiments", true},
 		{"obsinert", "internal/obs", false},
 		{"obsinert", "internal/obs/promtext", false},
@@ -187,7 +187,7 @@ func TestScopes(t *testing.T) {
 		{"goroutinescope", "internal/obs", false},
 		{"goroutinescope", "internal/obs/promtext", true},
 		{"goroutinescope", "internal/core", true},
-		{"goroutinescope", "cmd/pipesweep", true},
+		{"goroutinescope", "cmd/experiments", true},
 		{"lockorder", "internal/serve", true},
 		{"lockorder", "internal/store", true},
 		{"lockorder", "internal/core", false},

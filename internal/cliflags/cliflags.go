@@ -1,9 +1,9 @@
-// Package cliflags centralizes the flag surface shared by the cmd/
-// binaries. Every simulation-driven command accepts the same -n, -seed,
-// -workers, -bench and -json flags with identical semantics, plus the
-// telemetry surface (-v, -quiet, -manifest, -cpuprofile, -memprofile,
-// -trace) from internal/obs; commands add their own extras (like
-// pipesweep's -fig) on top.
+// Package cliflags centralizes the flag surfaces of the cmd/ binaries:
+// the simulation flags of cmd/experiments (-n, -seed, -workers, -bench,
+// -json), the telemetry flags (-v, -quiet, -manifest, -cpuprofile,
+// -memprofile, -trace) from internal/obs, and the serving flags of
+// cmd/sweepd. Commands add their own extras (like experiments'
+// -latchstep) on top.
 package cliflags
 
 import (
@@ -18,7 +18,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Sim holds the simulation flags every study binary accepts.
+// Sim holds the simulation flags of cmd/experiments.
 type Sim struct {
 	N       *int
 	Seed    *uint64
@@ -27,17 +27,16 @@ type Sim struct {
 	JSON    *bool
 }
 
-// Register declares the shared simulation flags on the default flag set;
-// call it before flag.Parse. defaultN sets the -n default, which differs
-// between the full evaluation binaries and the characterization tools.
-func Register(defaultN int) *Sim {
-	return RegisterOn(flag.CommandLine, defaultN)
+// Register declares the shared simulation flags on the default flag set,
+// with the -n default of the full evaluation; call it before flag.Parse.
+func Register() *Sim {
+	return RegisterOn(flag.CommandLine, experiments.Full.Instructions)
 }
 
 // RegisterOn declares the shared simulation flags on an explicit flag
-// set. The binaries go through Register; tests and the fuzz harness use
-// a private flag set so repeated parses never collide on the global
-// one.
+// set. cmd/experiments goes through Register; tests and the fuzz
+// harness use a private flag set so repeated parses never collide on the
+// global one.
 func RegisterOn(fs *flag.FlagSet, defaultN int) *Sim {
 	return &Sim{
 		N:       fs.Int("n", defaultN, "instructions per benchmark"),
@@ -46,12 +45,6 @@ func RegisterOn(fs *flag.FlagSet, defaultN int) *Sim {
 		Bench:   fs.String("bench", "", "only run benchmarks whose names contain this substring"),
 		JSON:    fs.Bool("json", false, "emit machine-readable JSON instead of text"),
 	}
-}
-
-// JSONFlag declares just the -json flag, for binaries (latchsim,
-// cactigen) whose experiments take no simulation parameters.
-func JSONFlag() *bool {
-	return flag.Bool("json", false, "emit machine-readable JSON instead of text")
 }
 
 // Options validates the parsed flags and converts them to experiment
@@ -87,7 +80,7 @@ func (s *Sim) MustOptions() experiments.Options {
 
 // Srv holds the serving flags of cmd/sweepd: listener address, admission
 // bounds and the graceful-drain budget, alongside the same -workers knob
-// the study binaries use for their simulation pools.
+// cmd/experiments uses for its simulation pools.
 type Srv struct {
 	Addr            *string
 	Workers         *int
@@ -194,8 +187,9 @@ func (s *Srv) MustValidate() {
 	}
 }
 
-// Tel holds the telemetry flags every study binary accepts. The run log
-// goes to stderr so it never mixes into the study output on stdout.
+// Tel holds the telemetry flags cmd/experiments and cmd/sweepd accept.
+// The run log goes to stderr so it never mixes into the study output on
+// stdout.
 type Tel struct {
 	Verbose    *bool
 	Quiet      *bool
@@ -243,7 +237,7 @@ func (t *Tel) MustStart(command string) *obs.Run {
 	return run
 }
 
-// MustRun is the one-call setup for the simulation binaries: validate the
+// MustRun is the one-call setup of cmd/experiments: validate the
 // simulation flags, start telemetry, record the simulation configuration
 // in the manifest, and hand the recorder to the experiment options.
 func MustRun(command string, sim *Sim, tel *Tel) (experiments.Options, *obs.Run) {

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzSimFlags drives the shared flag surface — the external input
-// every study binary parses first — through arbitrary argument
+// cmd/experiments parses first — through arbitrary argument
 // vectors. Parsing may reject, but it must never panic, and an
 // accepted parse must yield options that honor the documented
 // invariants.

@@ -5,13 +5,17 @@
 package clitest
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
@@ -21,11 +25,7 @@ var binDir string
 
 // commands is every binary under cmd/, kept in sync by TestMain, which
 // fails if the build produces a different set.
-var commands = []string{
-	"benchdiff", "cactigen", "experiments", "latchsim", "manifestcheck",
-	"pipesweep", "reprolint", "segwin", "structopt", "sweepd",
-	"traceinfo", "wirestudy",
-}
+var commands = []string{"benchdiff", "experiments", "manifestcheck", "reprolint", "sweepd"}
 
 func TestMain(m *testing.M) {
 	flag.Parse()
@@ -105,14 +105,15 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// The golden runs pin the exact stdout of the study binaries on small,
-// fast configurations. Simulation output is deterministic across worker
-// counts, but the goldens pin -workers 1 anyway so a determinism
-// regression shows up as a golden diff here and as a test failure in
-// internal/exec, not as flakiness.
+// The golden runs pin the exact stdout of experiments study selections
+// on small, fast configurations; each golden file is named after the
+// single-study binary it was first recorded from. Simulation output is
+// deterministic across worker counts, but the goldens pin -workers 1
+// anyway so a determinism regression shows up as a golden diff here and
+// as a test failure in internal/exec, not as flakiness.
 
 func TestGoldenPipesweepFigure5(t *testing.T) {
-	stdout, _, exit := run(t, "pipesweep", "-fig", "5", "-n", "2000", "-workers", "1")
+	stdout, _, exit := run(t, "experiments", "-n", "2000", "-workers", "1", "figure5")
 	if exit != 0 {
 		t.Fatalf("exit = %d", exit)
 	}
@@ -120,7 +121,7 @@ func TestGoldenPipesweepFigure5(t *testing.T) {
 }
 
 func TestGoldenPipesweepFigure4aJSON(t *testing.T) {
-	stdout, _, exit := run(t, "pipesweep", "-fig", "4a", "-n", "2000", "-workers", "1", "-json")
+	stdout, _, exit := run(t, "experiments", "-n", "2000", "-workers", "1", "-json", "figure4a")
 	if exit != 0 {
 		t.Fatalf("exit = %d", exit)
 	}
@@ -128,7 +129,7 @@ func TestGoldenPipesweepFigure4aJSON(t *testing.T) {
 }
 
 func TestGoldenSegwin(t *testing.T) {
-	stdout, _, exit := run(t, "segwin", "-n", "1000", "-workers", "1")
+	stdout, _, exit := run(t, "experiments", "-n", "1000", "-workers", "1", "figure8", "figure11", "segmented-select", "cray1s")
 	if exit != 0 {
 		t.Fatalf("exit = %d", exit)
 	}
@@ -136,7 +137,7 @@ func TestGoldenSegwin(t *testing.T) {
 }
 
 func TestGoldenLatchsim(t *testing.T) {
-	stdout, _, exit := run(t, "latchsim")
+	stdout, _, exit := run(t, "experiments", "-latchstep", "1", "table1")
 	if exit != 0 {
 		t.Fatalf("exit = %d", exit)
 	}
@@ -144,7 +145,7 @@ func TestGoldenLatchsim(t *testing.T) {
 }
 
 func TestGoldenTraceinfo(t *testing.T) {
-	stdout, _, exit := run(t, "traceinfo", "-n", "5000", "-workers", "1")
+	stdout, _, exit := run(t, "experiments", "-n", "5000", "-workers", "1", "workload-table")
 	if exit != 0 {
 		t.Fatalf("exit = %d", exit)
 	}
@@ -152,7 +153,7 @@ func TestGoldenTraceinfo(t *testing.T) {
 }
 
 func TestGoldenCactigen(t *testing.T) {
-	stdout, _, exit := run(t, "cactigen")
+	stdout, _, exit := run(t, "experiments", "table3", "structure-summary")
 	if exit != 0 {
 		t.Fatalf("exit = %d", exit)
 	}
@@ -196,21 +197,83 @@ func TestManifestcheck(t *testing.T) {
 
 	// The ok path carries environment-dependent fields (go version,
 	// GOMAXPROCS, wall time), so pin its shape, not its bytes: record a
-	// real manifest with pipesweep and validate it.
-	manifest := filepath.Join(t.TempDir(), "run.json")
-	if _, stderr, exit := run(t, "pipesweep", "-fig", "4a", "-n", "500", "-workers", "1", "-manifest", manifest); exit != 0 {
-		t.Fatalf("pipesweep -manifest exit = %d: %s", exit, stderr)
+	// real manifest and CPU profile with experiments and validate them.
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, "run.json")
+	profile := filepath.Join(dir, "cpu.pprof")
+	if _, stderr, exit := run(t, "experiments", "-n", "500", "-workers", "1",
+		"-cpuprofile", profile, "-manifest", manifest, "figure4a"); exit != 0 {
+		t.Fatalf("experiments -manifest exit = %d: %s", exit, stderr)
 	}
 	stdout, stderr, exit = run(t, "manifestcheck", manifest)
 	if exit != 0 {
 		t.Fatalf("manifestcheck exit = %d: %s", exit, stderr)
 	}
-	if !strings.Contains(stdout, "ok: command=pipesweep") {
-		t.Fatalf("manifestcheck stdout %q does not report the pipesweep run", stdout)
+	if !strings.Contains(stdout, "ok: command=experiments") {
+		t.Fatalf("manifestcheck stdout %q does not report the experiments run", stdout)
+	}
+	// pprof profiles are gzip-compressed protobufs.
+	raw, err := os.ReadFile(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) < 2 || raw[0] != 0x1f || raw[1] != 0x8b {
+		t.Errorf("CPU profile is %d bytes without the gzip magic", len(raw))
 	}
 
 	if _, _, exit := run(t, "manifestcheck"); exit != 2 {
 		t.Errorf("no-args exit = %d, want 2", exit)
+	}
+}
+
+// TestStudySpansFollowTable runs the whole study table and checks the
+// manifest's spans against the order experiments lists in its usage, so
+// a table entry and the span its driver records cannot drift apart.
+// Drivers may nest other studies' spans (headline reruns figure5), so
+// the table must be a subsequence of the spans, and every span must
+// name a study.
+func TestStudySpansFollowTable(t *testing.T) {
+	_, usage, exit := run(t, "experiments", "-h")
+	if exit != 0 {
+		t.Fatalf("-h exit = %d", exit)
+	}
+	var table []string
+	for _, line := range strings.Split(usage, "\n") {
+		if _, list, ok := strings.Cut(line, "studies (default: all, in this order):"); ok {
+			table = strings.Fields(list)
+		}
+	}
+	if len(table) == 0 {
+		t.Fatalf("usage lists no studies:\n%s", usage)
+	}
+
+	manifest := filepath.Join(t.TempDir(), "m.json")
+	if _, stderr, exit := run(t, "experiments", "-n", "500", "-workers", "1", "-bench", "gcc", "-manifest", manifest); exit != 0 {
+		t.Fatalf("experiments exit = %d: %s", exit, stderr)
+	}
+	raw, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m obs.Manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	var spans []string
+	for _, st := range m.Telemetry.Studies {
+		spans = append(spans, st.Name)
+		if !slices.Contains(table, st.Name) {
+			t.Errorf("span %q names no study in the table", st.Name)
+		}
+	}
+	next := 0
+	for _, name := range spans {
+		if next < len(table) && name == table[next] {
+			next++
+		}
+	}
+	if next < len(table) {
+		t.Errorf("spans %v do not follow the table order %v: no span for %q in place", spans, table, table[next])
 	}
 }
 
@@ -227,10 +290,10 @@ func TestBadFlagExitsTwo(t *testing.T) {
 
 func TestBadSimFlagValuesExitTwo(t *testing.T) {
 	cases := [][]string{
-		{"pipesweep", "-n", "0"},
-		{"pipesweep", "-fig", "99"},
-		{"traceinfo", "-workers", "-1"},
-		{"segwin", "-bench", "no-such-benchmark"},
+		{"experiments", "-n", "0"},
+		{"experiments", "figure99"},
+		{"experiments", "-workers", "-1"},
+		{"experiments", "-bench", "no-such-benchmark"},
 		{"sweepd", "-queue", "0"},
 		{"sweepd", "-addr", ""},
 		{"sweepd", "-slow-request", "-1s"},

@@ -158,7 +158,7 @@ func (o PointOptions) Validate() error {
 		return fmt.Errorf("unknown machine %q (use %q or %q)", o.Machine, MachineOutOfOrder, MachineInOrder)
 	}
 	if _, ok := ProfileByName(o.Benchmark); !ok {
-		return fmt.Errorf("unknown benchmark %q (run traceinfo for the Table 2 suite)", o.Benchmark)
+		return fmt.Errorf("unknown benchmark %q (run experiments workload-table for the Table 2 suite)", o.Benchmark)
 	}
 	if o.Useful <= 0 || o.Useful > MaxUseful {
 		return fmt.Errorf("useful must be in (0, %d] FO4, got %g", MaxUseful, o.Useful)

@@ -173,18 +173,3 @@ func MapWithState[T, R, S any](p Pool, items []T, newState func() S, fn func(sta
 	wg.Wait()
 	return results, ctx.Err()
 }
-
-// MapGroupsWithState is MapWithState over a pre-grouped grid: groups[i]
-// is one indivisible unit of work handed whole to fn, which returns one
-// result slice for the group. The serving scheduler uses it to dispatch
-// one batched simulation per benchmark trace — every queued depth of
-// that benchmark in one call — while keeping the pool's contracts:
-// results are slotted by group index, observation hooks and Skip fire
-// once per group, and fn's output must be a pure function of (group
-// index, items) so the flattened grid is byte-for-byte identical at any
-// worker count. On cancellation, unrun groups hold nil slices.
-func MapGroupsWithState[T, R, S any](p Pool, groups [][]T, newState func() S, fn func(state S, group int, items []T) []R) ([][]R, error) {
-	return MapWithState(p, groups, newState, func(s S, gi int, items []T) []R {
-		return fn(s, gi, items)
-	})
-}

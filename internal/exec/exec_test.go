@@ -327,52 +327,3 @@ func TestSkipConsultedOncePerJob(t *testing.T) {
 		}
 	}
 }
-
-func TestMapGroupsWithStateSlotsByGroup(t *testing.T) {
-	groups := [][]int{{1, 2, 3}, {4}, {}, {5, 6}}
-	want := [][]int{{2, 4, 6}, {8}, {}, {10, 12}}
-	for _, workers := range []int{1, 3} {
-		got, err := MapGroupsWithState(Pool{Workers: workers}, groups,
-			func() int { return 2 },
-			func(mul, _ int, items []int) []int {
-				out := make([]int, len(items))
-				for i, v := range items {
-					out[i] = v * mul
-				}
-				return out
-			})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: %d result slices, want %d", workers, len(got), len(want))
-		}
-		for g := range want {
-			if len(got[g]) != len(want[g]) {
-				t.Fatalf("workers=%d group %d: got %v, want %v", workers, g, got[g], want[g])
-			}
-			for i := range want[g] {
-				if got[g][i] != want[g][i] {
-					t.Errorf("workers=%d group %d slot %d: got %d, want %d", workers, g, i, got[g][i], want[g][i])
-				}
-			}
-		}
-	}
-}
-
-func TestMapGroupsWithStateSkipLeavesNilSlice(t *testing.T) {
-	groups := [][]int{{1}, {2}, {3}}
-	got, err := MapGroupsWithState(Pool{Workers: 1, Skip: func(g int) bool { return g == 1 }},
-		groups,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, _ int, items []int) []int { return items })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[1] != nil {
-		t.Errorf("skipped group's slot = %v, want nil", got[1])
-	}
-	if got[0] == nil || got[2] == nil {
-		t.Errorf("unskipped groups missing: %v", got)
-	}
-}

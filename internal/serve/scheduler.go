@@ -125,9 +125,9 @@ func newScheduler(workers, queueLimit int, cache store.ResultStore, codeVersion 
 		stopped:     make(chan struct{}),
 	}
 	// The dispatcher is the one goroutine the serving layer owns; every
-	// simulation it dispatches still runs through exec.MapGroupsWithState,
+	// simulation it dispatches still runs through exec.MapWithState,
 	// so parallel work stays behind the deterministic pool.
-	go s.run() //reprolint:allow goroutinescope: the dispatcher only moves queued jobs into exec.MapGroupsWithState batches; all simulation parallelism stays behind the deterministic executor
+	go s.run() //reprolint:allow goroutinescope: the dispatcher only moves queued jobs into exec.MapWithState batches; all simulation parallelism stays behind the deterministic executor
 	return s
 }
 
@@ -346,8 +346,8 @@ func (s *scheduler) runGrouped(batch []*job) {
 			return true
 		},
 	}
-	exec.MapGroupsWithState(pool, groups, pipeline.NewBatchScratch,
-		func(bs *pipeline.BatchScratch, _ int, jobs []*job) []struct{} {
+	exec.MapWithState(pool, groups, pipeline.NewBatchScratch,
+		func(bs *pipeline.BatchScratch, _ int, jobs []*job) struct{} {
 			live := jobs[:0]
 			for _, j := range jobs {
 				if j.waiters.Load() > 0 {
@@ -355,7 +355,7 @@ func (s *scheduler) runGrouped(batch []*job) {
 				}
 			}
 			if len(live) == 0 {
-				return nil
+				return struct{}{}
 			}
 			opts := make([]core.PointOptions, len(live))
 			for i, j := range live {
@@ -371,7 +371,7 @@ func (s *scheduler) runGrouped(batch []*job) {
 				}
 				s.finishJob(j, results[i], nil)
 			}
-			return nil
+			return struct{}{}
 		})
 }
 
