@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint lint-stats fuzz-smoke bench-smoke bench-compare bench-record chaos-smoke run-regression-seeds cover profile check
+.PHONY: build test race bench-module vet lint lint-stats fuzz-smoke bench-smoke bench-compare bench-record chaos-smoke run-regression-seeds cover profile check
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark harness (benchmark/, see BENCHMARK.json) is its own
+# module, so the root `go test ./...` never builds it. Vet and test it
+# here so a change to an API it calls (pipeline.RunBatch,
+# BatchScratch.Lanes, core.SimulatePoint, ...) fails CI, not the next
+# benchmark run.
+bench-module:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 vet:
 	$(GO) vet ./...

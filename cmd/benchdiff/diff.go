@@ -11,10 +11,9 @@ import (
 	"strings"
 )
 
-// Result is one benchmark's recorded performance. Only the two metrics
-// the perf-regression gate cares about are kept: wall time and steady-
-// state allocation count per operation (BytesPerOp rides along for
-// context in recorded baselines).
+// Result is one benchmark's recorded performance: the three metrics the
+// perf-regression gate compares — wall time, bytes allocated and
+// allocation count per operation.
 type Result struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -116,6 +115,7 @@ func record(results []Result) ([]byte, error) {
 type delta struct {
 	name               string
 	oldNs, newNs       float64
+	oldBytes, newBytes float64
 	oldAlloc, newAlloc float64
 }
 
@@ -132,12 +132,13 @@ func pct(old, new float64) float64 {
 }
 
 func (d delta) nsPct() float64    { return pct(d.oldNs, d.newNs) }
+func (d delta) bytesPct() float64 { return pct(d.oldBytes, d.newBytes) }
 func (d delta) allocPct() float64 { return pct(d.oldAlloc, d.newAlloc) }
 
-// regressed reports whether either metric got worse by more than
-// threshold percent.
+// regressed reports whether any metric got worse by more than threshold
+// percent.
 func (d delta) regressed(threshold float64) bool {
-	return d.nsPct() > threshold || d.allocPct() > threshold
+	return d.nsPct() > threshold || d.bytesPct() > threshold || d.allocPct() > threshold
 }
 
 // compare pairs old and new results by name, in old's order. Benchmarks
@@ -160,6 +161,7 @@ func compare(old, new []Result) (deltas []delta, onlyOld, onlyNew []string) {
 		deltas = append(deltas, delta{
 			name:  o.Name,
 			oldNs: o.NsPerOp, newNs: n.NsPerOp,
+			oldBytes: o.BytesPerOp, newBytes: n.BytesPerOp,
 			oldAlloc: o.AllocsPerOp, newAlloc: n.AllocsPerOp,
 		})
 	}
@@ -193,14 +195,15 @@ func report(w *strings.Builder, deltas []delta, onlyOld, onlyNew []string, thres
 			nameW = len(d.name)
 		}
 	}
-	fmt.Fprintf(w, "%-*s  %14s  %14s  %9s  %12s  %12s  %9s\n", nameW, "benchmark",
-		"old ns/op", "new ns/op", "delta", "old allocs", "new allocs", "delta")
+	fmt.Fprintf(w, "%-*s  %14s  %14s  %9s  %12s  %12s  %9s  %12s  %12s  %9s\n", nameW, "benchmark",
+		"old ns/op", "new ns/op", "delta", "old B/op", "new B/op", "delta", "old allocs", "new allocs", "delta")
 	for _, d := range deltas {
 		if d.regressed(threshold) {
 			bad = true
 		}
-		fmt.Fprintf(w, "%-*s  %14.0f  %14.0f  %9s  %12.0f  %12.0f  %9s\n", nameW, d.name,
+		fmt.Fprintf(w, "%-*s  %14.0f  %14.0f  %9s  %12.0f  %12.0f  %9s  %12.0f  %12.0f  %9s\n", nameW, d.name,
 			d.oldNs, d.newNs, fmtPct(d.nsPct(), threshold),
+			d.oldBytes, d.newBytes, fmtPct(d.bytesPct(), threshold),
 			d.oldAlloc, d.newAlloc, fmtPct(d.allocPct(), threshold))
 	}
 	for _, n := range onlyOld {

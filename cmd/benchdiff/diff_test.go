@@ -102,6 +102,42 @@ func TestCompareAndThreshold(t *testing.T) {
 	}
 }
 
+// TestBytesPerOpGated: B/op is gated under the same threshold as ns/op
+// and allocs/op, and the report prints its old, new and delta columns.
+func TestBytesPerOpGated(t *testing.T) {
+	old := []Result{{Name: "BenchmarkFigure5", NsPerOp: 1000, BytesPerOp: 1000000, AllocsPerOp: 380}}
+	grown := []Result{{Name: "BenchmarkFigure5", NsPerOp: 1000, BytesPerOp: 17700000, AllocsPerOp: 380}}
+
+	deltas, _, _ := compare(old, grown)
+	var w strings.Builder
+	if !report(&w, deltas, nil, nil, 50) {
+		t.Fatalf("B/op growth alone not flagged:\n%s", w.String())
+	}
+	header, row, _ := strings.Cut(w.String(), "\n")
+	if !strings.Contains(header, "old B/op") || !strings.Contains(header, "new B/op") {
+		t.Fatalf("report header lacks B/op columns: %q", header)
+	}
+	for _, want := range []string{"1000000", "17700000", "+1670.0% !"} {
+		if !strings.Contains(row, want) {
+			t.Errorf("report row lacks %q: %q", want, row)
+		}
+	}
+
+	// The same change read the other way is an improvement, not a regression.
+	deltas, _, _ = compare(grown, old)
+	w.Reset()
+	if report(&w, deltas, nil, nil, 50) {
+		t.Fatalf("B/op drop flagged as regression:\n%s", w.String())
+	}
+	// Within the threshold passes.
+	within := []Result{{Name: "BenchmarkFigure5", NsPerOp: 1000, BytesPerOp: 1400000, AllocsPerOp: 380}}
+	deltas, _, _ = compare(old, within)
+	w.Reset()
+	if report(&w, deltas, nil, nil, 50) {
+		t.Fatalf("+40%% B/op flagged at a 50%% threshold:\n%s", w.String())
+	}
+}
+
 func TestPctEdgeCases(t *testing.T) {
 	if p := pct(0, 0); p != 0 {
 		t.Errorf("pct(0,0) = %v, want 0", p)
@@ -115,6 +151,10 @@ func TestPctEdgeCases(t *testing.T) {
 	d := delta{oldAlloc: 0, newAlloc: 1}
 	if !d.regressed(50) {
 		t.Error("zero-baseline alloc regression not flagged")
+	}
+	d = delta{oldBytes: 0, newBytes: 1}
+	if !d.regressed(50) {
+		t.Error("zero-baseline B/op regression not flagged")
 	}
 }
 

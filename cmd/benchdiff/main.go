@@ -1,8 +1,8 @@
 // Command benchdiff compares two `go test -bench` runs and flags
 // performance regressions. Each input is either raw benchmark output or
-// a baseline recorded with -record; the comparison reports ns/op and
-// allocs/op per benchmark and exits nonzero when either metric got worse
-// by more than -threshold percent (the perf-regression gate CI runs
+// a baseline recorded with -record; the comparison reports ns/op, B/op
+// and allocs/op per benchmark and exits nonzero when any of them got
+// worse by more than -threshold percent (the perf-regression gate CI runs
 // against BENCH_baseline.json — see EXPERIMENTS.md for the workflow).
 //
 // Usage:
@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	threshold := flag.Float64("threshold", 10, "regression threshold in percent on ns/op and allocs/op")
+	threshold := flag.Float64("threshold", 10, "regression threshold in percent on ns/op, B/op and allocs/op")
 	recordPath := flag.String("record", "", "record the single input as a baseline JSON at this `path` instead of comparing")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold pct] <old> <new>")

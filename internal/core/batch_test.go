@@ -22,8 +22,7 @@ func TestSimulateBatchMatchesRunWith(t *testing.T) {
 		{Benchmark: "gcc", Useful: 8, Instructions: 5000, Window: 32, WindowStages: 4},
 		{Benchmark: "gcc", Useful: 8, Instructions: 5000, Machine: "inorder"},
 	}
-	bs := pipeline.NewBatchScratch()
-	got, err := SimulateBatch(opts, bs, nil)
+	got, err := SimulateBatch(opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,18 +54,18 @@ func TestSimulateBatchRejectsMixedTraces(t *testing.T) {
 		{Benchmark: "gcc", Useful: 8, Instructions: 6000},
 		{Benchmark: "gcc", Useful: 8, Instructions: 5000, Seed: 7},
 	} {
-		if _, err := SimulateBatch([]PointOptions{base, bad}, nil, nil); err == nil {
+		if _, err := SimulateBatch([]PointOptions{base, bad}, nil); err == nil {
 			t.Errorf("mixed batch %+v accepted, want error", bad)
 		} else if !strings.Contains(err.Error(), "shares one trace") {
 			t.Errorf("mixed batch error %q does not name the contract", err)
 		}
 	}
 	// Invalid lanes are caught before any simulation, tagged by index.
-	if _, err := SimulateBatch([]PointOptions{base, {Benchmark: "nope", Useful: 6}}, nil, nil); err == nil {
+	if _, err := SimulateBatch([]PointOptions{base, {Benchmark: "nope", Useful: 6}}, nil); err == nil {
 		t.Error("invalid lane accepted")
 	}
 	// An empty batch is a no-op, not an error.
-	if out, err := SimulateBatch(nil, nil, nil); err != nil || out != nil {
+	if out, err := SimulateBatch(nil, nil); err != nil || out != nil {
 		t.Errorf("empty batch: out=%v err=%v", out, err)
 	}
 }

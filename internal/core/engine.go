@@ -60,19 +60,19 @@ func recordEconomy(cfg SweepConfig, stats []pipeline.Stats) {
 
 // runGrid simulates the full (params × traces) product and returns stats
 // indexed [pi*len(traces)+ti]. Each executor task is one trace running
-// every params lane through pipeline.RunBatch on the worker's reusable
-// BatchScratch, so the depth-invariant per-benchmark work (decode,
-// predictor walk, consumer index, cache prewarm) happens once per
-// benchmark instead of once per cell, and consecutive lanes keep that
-// benchmark's shared arrays hot. Each cell equals pipeline.RunWith on
-// its (params, trace) bit for bit at any worker count, apart from the
-// batch accounting counters (excluded from JSON).
+// every params lane through one pipeline.RunBatch call on a BatchScratch
+// borrowed from the idle list (see runLanes), so the depth-invariant
+// per-benchmark work (decode, predictor walk, consumer index, cache
+// prewarm) happens once per benchmark instead of once per cell, and the
+// worker's lane state survives from one study to the next. Each cell
+// equals pipeline.RunWith on its (params, trace) bit for bit at any
+// worker count, apart from the batch accounting counters (excluded from
+// JSON).
 func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) []pipeline.Stats {
 	cfg.Obs.Add("simulations", int64(len(params)*len(traces)))
-	batches, _ := exec.MapWithState(cfg.pool(), traces, pipeline.NewBatchScratch,
-		func(bs *pipeline.BatchScratch, _ int, tr *trace.Trace) []pipeline.Stats {
-			return pipeline.RunBatch(params, tr, bs.Lanes(len(params)))
-		})
+	batches, _ := exec.Map(cfg.pool(), traces, func(_ int, tr *trace.Trace) []pipeline.Stats {
+		return runLanes(params, tr)
+	})
 
 	stats := make([]pipeline.Stats, len(params)*len(traces))
 	for ti := range traces {
@@ -84,6 +84,49 @@ func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) [
 		}
 	}
 	recordEconomy(cfg, stats)
+	return stats
+}
+
+// idleScratch is the process-wide idle list of simulation state. Every
+// pipeline.RunBatch call in the package — a study's grid task or a
+// SimulateBatch call from sweepd — borrows one BatchScratch from it and
+// puts it back when the call returns, so a worker's lane hierarchy,
+// prewarm template and per-instruction arenas outlive the study or
+// dispatch batch that built them. Unlike a sync.Pool the list never
+// evicts, so reuse does not depend on GC timing.
+//
+// Retention bound: the list holds at most one entry per borrower that was
+// ever active at once — at most one per executor worker running
+// simulations concurrently. An entry keeps one 2 MiB-L2 lane hierarchy
+// and one prewarm template (~0.5 MiB each) plus 28 B of arenas per
+// instruction of the longest trace it ran: ~1.6 MB at 20 000
+// instructions, ~29 MB at sweepd's 1 000 000-instruction cap. Entries
+// are never freed, so a process keeps the state of its busiest moment.
+var idleScratch struct {
+	mu   sync.Mutex
+	free []*pipeline.BatchScratch
+}
+
+// runLanes runs one pipeline.RunBatch call on a BatchScratch borrowed
+// from the idle list, or on a new one when every entry is out. Which
+// entry a call gets depends on scheduling, but results never do: the
+// Scratch contract makes every run a pure function of (params, trace).
+func runLanes(params []pipeline.Params, tr *trace.Trace) []pipeline.Stats {
+	idleScratch.mu.Lock()
+	var bs *pipeline.BatchScratch
+	if n := len(idleScratch.free); n > 0 {
+		bs = idleScratch.free[n-1]
+		idleScratch.free = idleScratch.free[:n-1]
+	} else {
+		bs = pipeline.NewBatchScratch()
+	}
+	idleScratch.mu.Unlock()
+
+	stats := pipeline.RunBatch(params, tr, bs.Lanes(len(params)))
+
+	idleScratch.mu.Lock()
+	idleScratch.free = append(idleScratch.free, bs)
+	idleScratch.mu.Unlock()
 	return stats
 }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/config"
 	"repro/internal/fo4"
@@ -322,7 +321,7 @@ func (o PointOptions) params() (pipeline.Params, fo4.Clock) {
 // SimulateBatch. rec, when non-nil, receives the trace-cache counters;
 // it never influences the result.
 func SimulatePoint(o PointOptions, rec *obs.Recorder) (BenchPoint, error) {
-	out, err := SimulateBatch([]PointOptions{o}, nil, rec)
+	out, err := SimulateBatch([]PointOptions{o}, rec)
 	if err != nil {
 		return BenchPoint{}, err
 	}
@@ -336,11 +335,10 @@ func SimulatePoint(o PointOptions, rec *obs.Recorder) (BenchPoint, error) {
 // point. out[i] carries exactly the Stats pipeline.RunWith computes for
 // opts[i] on its own, apart from the batch accounting counters
 // (excluded from JSON); the core batch test pins that equivalence and
-// the serving layer's byte-identity test pins it on the wire. bs
-// amortizes per-lane scratch state across successive batches (nil
-// borrows one from a package pool) and, like every Scratch, must not be
-// shared by concurrent calls.
-func SimulateBatch(opts []PointOptions, bs *pipeline.BatchScratch, rec *obs.Recorder) ([]BenchPoint, error) {
+// the serving layer's byte-identity test pins it on the wire. The lanes
+// run on simulation state borrowed from the package's idle list (see
+// runLanes), so concurrent calls are safe and successive calls reuse it.
+func SimulateBatch(opts []PointOptions, rec *obs.Recorder) ([]BenchPoint, error) {
 	if len(opts) == 0 {
 		return nil, nil
 	}
@@ -359,10 +357,6 @@ func SimulateBatch(opts []PointOptions, bs *pipeline.BatchScratch, rec *obs.Reco
 				i+1, o.Benchmark, o.Instructions, o.Seed, first.Benchmark, first.Instructions, first.Seed)
 		}
 	}
-	if bs == nil {
-		bs = batchScratchPool.Get().(*pipeline.BatchScratch)
-		defer batchScratchPool.Put(bs)
-	}
 	prof, _ := ProfileByName(first.Benchmark)
 	tr := cachedTrace(prof, first.Instructions, first.Seed, rec)
 	params := make([]pipeline.Params, len(norm))
@@ -370,17 +364,13 @@ func SimulateBatch(opts []PointOptions, bs *pipeline.BatchScratch, rec *obs.Reco
 	for i, o := range norm {
 		params[i], clocks[i] = o.params()
 	}
-	stats := pipeline.RunBatch(params, tr, bs.Lanes(len(params)))
+	stats := runLanes(params, tr)
 	out := make([]BenchPoint, len(norm))
 	for i := range stats {
 		out[i] = pointResult(stats[i], tr, clocks[i])
 	}
 	return out, nil
 }
-
-// batchScratchPool serves the callers of SimulateBatch (SimulatePoint
-// among them) that pass no BatchScratch of their own.
-var batchScratchPool = sync.Pool{New: func() any { return pipeline.NewBatchScratch() }}
 
 func pointResult(st pipeline.Stats, tr *trace.Trace, clk fo4.Clock) BenchPoint {
 	freq := clk.FrequencyHz(fo4.Tech100nm)

@@ -90,24 +90,6 @@ func (p Pool) ctx() context.Context {
 // returns the context's error; slots whose jobs never ran hold zero
 // values, so a caller that sees a non-nil error must discard the results.
 func Map[T, R any](p Pool, items []T, fn func(int, T) R) ([]R, error) {
-	return MapWithState(p, items,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int, it T) R { return fn(i, it) })
-}
-
-// MapWithState is Map with per-worker scratch state: newState runs once
-// per worker, on that worker's goroutine (the serial path is a single
-// worker), and fn receives that worker's state on every job it runs.
-// The sweep engine uses it to thread one pipeline.BatchScratch per
-// worker through a whole study grid, one task per benchmark trace.
-//
-// Determinism contract: state is an allocation amortizer, never an
-// input. fn's result must be a pure function of (index, item) alone —
-// identical whether the state is fresh or has served any prior sequence
-// of jobs — because which jobs share a state instance depends on
-// scheduling, and any leakage through the state would break Map's
-// worker-count invariance.
-func MapWithState[T, R, S any](p Pool, items []T, newState func() S, fn func(state S, index int, item T) R) ([]R, error) {
 	results := make([]R, len(items))
 	if len(items) == 0 {
 		return results, nil
@@ -117,15 +99,15 @@ func MapWithState[T, R, S any](p Pool, items []T, newState func() S, fn func(sta
 
 	// call wraps fn with the observation hooks; when no hook is set it is
 	// fn itself modulo the worker id, so the hot path stays time.Now-free.
-	call := func(w int, s S, i int, it T) R { return fn(s, i, it) }
+	call := func(w, i int, it T) R { return fn(i, it) }
 	if p.OnTaskStart != nil || p.OnTaskDone != nil {
 		submitted := time.Now() //reprolint:allow nondeterminism: queue-wait timing feeds the observation hooks only, never task results
-		call = func(w int, s S, i int, it T) R {
+		call = func(w, i int, it T) R {
 			start := time.Now() //reprolint:allow nondeterminism: task timing feeds the observation hooks only, never task results
 			if p.OnTaskStart != nil {
 				p.OnTaskStart(w, i, start.Sub(submitted))
 			}
-			r := fn(s, i, it)
+			r := fn(i, it)
 			if p.OnTaskDone != nil {
 				//reprolint:allow nondeterminism: task timing feeds the observation hooks only, never task results
 				p.OnTaskDone(w, i, time.Since(start))
@@ -135,7 +117,6 @@ func MapWithState[T, R, S any](p Pool, items []T, newState func() S, fn func(sta
 	}
 
 	if workers == 1 {
-		state := newState()
 		for i, it := range items {
 			if err := ctx.Err(); err != nil {
 				return results, err
@@ -143,7 +124,7 @@ func MapWithState[T, R, S any](p Pool, items []T, newState func() S, fn func(sta
 			if p.Skip != nil && p.Skip(i) {
 				continue
 			}
-			results[i] = call(0, state, i, it)
+			results[i] = call(0, i, it)
 		}
 		return results, ctx.Err()
 	}
@@ -154,7 +135,6 @@ func MapWithState[T, R, S any](p Pool, items []T, newState func() S, fn func(sta
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			state := newState()
 			for {
 				if ctx.Err() != nil {
 					return
@@ -166,7 +146,7 @@ func MapWithState[T, R, S any](p Pool, items []T, newState func() S, fn func(sta
 				if p.Skip != nil && p.Skip(i) {
 					continue
 				}
-				results[i] = call(w, state, i, items[i])
+				results[i] = call(w, i, items[i])
 			}
 		}(w)
 	}

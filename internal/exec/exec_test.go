@@ -101,73 +101,6 @@ func TestMapCancellationStopsEarly(t *testing.T) {
 	}
 }
 
-func TestMapWithStateOneStatePerWorker(t *testing.T) {
-	type state struct{ jobs int }
-	for _, workers := range []int{1, 4} {
-		var mu sync.Mutex
-		var states []*state
-		newState := func() *state {
-			mu.Lock()
-			defer mu.Unlock()
-			s := &state{}
-			states = append(states, s)
-			return s
-		}
-		got, err := MapWithState(Pool{Workers: workers}, items(100), newState,
-			func(s *state, i, v int) int {
-				s.jobs++
-				return i + v
-			})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i, v := range got {
-			if v != 2*i {
-				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, v, 2*i)
-			}
-		}
-		if len(states) > workers {
-			t.Fatalf("workers=%d: %d states built, want at most %d", workers, len(states), workers)
-		}
-		total := 0
-		for _, s := range states {
-			total += s.jobs
-		}
-		if total != 100 {
-			t.Fatalf("workers=%d: states saw %d jobs, want 100", workers, total)
-		}
-	}
-}
-
-func TestMapWithStateSerialMatchesParallel(t *testing.T) {
-	// State as an allocation amortizer: a scratch buffer reused across
-	// jobs, with every job fully re-initializing what it reads.
-	fn := func(buf []uint64, i, v int) uint64 {
-		for k := range buf {
-			buf[k] = uint64(v+k) * 2654435761
-		}
-		var x uint64
-		for _, b := range buf {
-			x ^= b + x<<7
-		}
-		return x
-	}
-	newBuf := func() []uint64 { return make([]uint64, 32) }
-	serial, err := MapWithState(Pool{Workers: 1}, items(257), newBuf, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := MapWithState(Pool{Workers: 8}, items(257), newBuf, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("slot %d: serial %d != parallel %d", i, serial[i], parallel[i])
-		}
-	}
-}
-
 func TestPoolSize(t *testing.T) {
 	if got := (Pool{Workers: 8}).size(3); got != 3 {
 		t.Errorf("workers capped at items: got %d, want 3", got)

@@ -23,7 +23,13 @@ import (
 // except for the BatchLanes/BatchSharedDecode accounting that only
 // RunBatch sets; the batch property test pins that equivalence.
 // scratches must have one (possibly nil) slot per lane and, like every
-// Scratch, must not be shared with concurrent calls.
+// Scratch, must not be shared with concurrent calls. Slots may alias one
+// Scratch, and BatchScratch.Lanes makes them all alias it: lanes run
+// strictly one after another, each fully re-initializing the state it
+// reads (the Scratch contract), and a partition's prewarm template
+// (Scratch.warmTmpl) is a separate object from the lane hierarchy
+// (Scratch.hier) that every lane copies it into, so a lane never
+// overwrites the template the next lane copies from.
 func RunBatch(params []Params, tr *trace.Trace, scratches []*Scratch) []Stats {
 	if len(scratches) != len(params) {
 		panic("pipeline: RunBatch needs one scratch slot per lane")
@@ -106,8 +112,9 @@ func runBatchPartition(params []Params, tr *trace.Trace, scratches []*Scratch, o
 	}
 
 	// Prewarm once per partition. The template lives on the partition's
-	// first scratch so its allocation amortizes across batches; a nil
-	// scratch (one-off callers) builds a throwaway.
+	// first scratch, beside (never in place of) its lane hierarchy, so its
+	// allocation amortizes across batches; a nil scratch (one-off callers)
+	// builds a throwaway.
 	i0 := laneAt(0)
 	var tmpl *mem.Hierarchy
 	if s0 := scratches[i0]; s0 != nil {
@@ -125,22 +132,29 @@ func runBatchPartition(params []Params, tr *trace.Trace, scratches []*Scratch, o
 	}
 }
 
-// BatchScratch owns the per-lane Scratches a RunBatch caller threads
-// through successive batches, the way a single Scratch is reused across
-// RunWith calls: a fresh value is valid, reuse only amortizes
-// allocations, and a BatchScratch must never be shared by concurrent
-// batches. The sweep engine keeps one per worker.
+// BatchScratch is the simulation state a RunBatch caller threads through
+// successive batches, the way a single Scratch is reused across RunWith
+// calls: a fresh value is valid, reuse only amortizes allocations, and a
+// BatchScratch must never be shared by concurrent batches. It holds one
+// Scratch that every lane slot aliases (see RunBatch), so its footprint —
+// one lane hierarchy, one prewarm template and one set of
+// per-instruction arenas — does not grow with the lane count. The sweep
+// engine and the serving scheduler borrow one per running task from
+// internal/core's idle list.
 type BatchScratch struct {
+	s     Scratch
 	lanes []*Scratch
 }
 
-// NewBatchScratch returns an empty BatchScratch; lanes grow on first use.
+// NewBatchScratch returns an empty BatchScratch; its arenas grow on first
+// use.
 func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
 
-// Lanes returns n scratch slots, creating any the set is still missing.
+// Lanes returns n scratch slots, every one aliasing the BatchScratch's
+// single Scratch.
 func (b *BatchScratch) Lanes(n int) []*Scratch {
 	for len(b.lanes) < n {
-		b.lanes = append(b.lanes, NewScratch())
+		b.lanes = append(b.lanes, &b.s)
 	}
 	return b.lanes[:n]
 }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime"
 	"strconv"
 	"testing"
 )
@@ -123,6 +124,47 @@ func TestRunBatchSteadyStateAllocs(t *testing.T) {
 	// state stopped being reused.
 	if allocs > 2 {
 		t.Errorf("steady-state RunBatch allocates %.1f objects per 15-lane batch, want <= 2", allocs)
+	}
+}
+
+// allocBytes returns the bytes the heap allocated while fn ran, from
+// runtime.MemStats.TotalAlloc. Callers are non-parallel tests, so the
+// count is fn's own allocation plus runtime noise.
+func allocBytes(fn func()) uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	before := m.TotalAlloc
+	fn()
+	runtime.ReadMemStats(&m)
+	return m.TotalAlloc - before
+}
+
+// TestRunBatchBytesIndependentOfLaneCount pins lane aliasing: every slot
+// of a BatchScratch is the same Scratch, so a fresh BatchScratch's first
+// 15-lane batch allocates one lane hierarchy, one arena set and the
+// partition's prewarm template — about what a 1-lane batch allocates,
+// not 15 times it — and a second batch on it allocates only its result.
+func TestRunBatchBytesIndependentOfLaneCount(t *testing.T) {
+	tr := getTrace(t, "176.gcc", 20000)
+	params := make([]Params, 0, 15)
+	for u := 2; u <= 16; u++ {
+		params = append(params, paramsAt(float64(u)))
+	}
+	RunBatch(params, tr, NewBatchScratch().Lanes(len(params))) // build the trace's shared decode
+
+	one := allocBytes(func() { RunBatch(params[:1], tr, NewBatchScratch().Lanes(1)) })
+	bs := NewBatchScratch()
+	fifteen := allocBytes(func() { RunBatch(params, tr, bs.Lanes(len(params))) })
+	again := allocBytes(func() { RunBatch(params, tr, bs.Lanes(len(params))) })
+	t.Logf("1 lane fresh: %d B; 15 lanes fresh: %d B; 15 lanes reused: %d B", one, fifteen, again)
+
+	// The template is one more hierarchy, so 15 lanes may cost up to
+	// twice one lane; per-lane state would cost ~15x.
+	if fifteen > 2*one {
+		t.Errorf("fresh 15-lane RunBatch allocates %d B, more than twice the %d B of a 1-lane batch", fifteen, one)
+	}
+	if again > 16<<10 {
+		t.Errorf("steady-state 15-lane RunBatch allocates %d B, want <= 16 KiB (the result slice)", again)
 	}
 }
 

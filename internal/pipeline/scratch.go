@@ -17,11 +17,13 @@ import (
 // Contract: a Scratch may serve any number of sequential RunWith calls —
 // every run fully re-initializes the state it reads, so results are a
 // pure function of (Params, Trace) regardless of what ran before — but
-// it must never be shared by concurrent runs. The sweep engine and the
-// serving scheduler thread one BatchScratch (a Scratch per lane) per
-// worker through the deterministic executor; plain Run borrows one from
-// a package pool. Traces stay immutable throughout: a Scratch only ever
-// holds simulator-private state, never trace data.
+// it must never be shared by concurrent runs. Sequential sharing is the
+// point: every lane of a RunBatch call runs on the same Scratch (the
+// slots of a BatchScratch all alias one), and the sweep engine and the
+// serving scheduler keep one BatchScratch per running task, borrowed
+// from internal/core's idle list and reused across calls; plain Run
+// borrows one from a package pool. Traces stay immutable throughout: a
+// Scratch only ever holds simulator-private state, never trace data.
 type Scratch struct {
 	// Per-instruction arenas, sized to the trace on each run. The data
 	// (consumer-visible, post-bypass) and complete (executed) timestamps
@@ -49,7 +51,9 @@ type Scratch struct {
 	hierKey hierKey
 
 	// warmTmpl is the batch prewarm template (see RunBatch): a hierarchy
-	// prewarmed once per partition whose state later lanes copy.
+	// prewarmed once per partition whose state every lane of it copies
+	// into hier. It is always a separate object from hier, which is what
+	// lets the lanes of one partition share this Scratch.
 	warmTmpl    *mem.Hierarchy
 	warmTmplKey hierKey
 }

@@ -5,7 +5,8 @@ package serve
 // points, and one dispatcher that feeds queued points through the
 // deterministic executor (internal/exec) in batches — grouped by
 // benchmark trace, so the depths of a multi-depth sweep share one trace
-// walk (core.SimulateBatch) — with one reusable BatchScratch per worker.
+// walk (core.SimulateBatch) — on simulation state borrowed from core's
+// idle list, so the daemon's lane state outlives every dispatch batch.
 // Concurrent clients asking overlapping grids attach to the same job, so
 // each distinct point simulates at most once per process; a point whose
 // every requester has disconnected is pruned from the queue immediately
@@ -23,7 +24,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/store"
 )
 
@@ -125,9 +125,9 @@ func newScheduler(workers, queueLimit int, cache store.ResultStore, codeVersion 
 		stopped:     make(chan struct{}),
 	}
 	// The dispatcher is the one goroutine the serving layer owns; every
-	// simulation it dispatches still runs through exec.MapWithState,
-	// so parallel work stays behind the deterministic pool.
-	go s.run() //reprolint:allow goroutinescope: the dispatcher only moves queued jobs into exec.MapWithState batches; all simulation parallelism stays behind the deterministic executor
+	// simulation it dispatches still runs through exec.Map, so parallel
+	// work stays behind the deterministic pool.
+	go s.run() //reprolint:allow goroutinescope: the dispatcher only moves queued jobs into exec.Map batches; all simulation parallelism stays behind the deterministic executor
 	return s
 }
 
@@ -312,11 +312,12 @@ func identOf(o core.PointOptions) traceIdent {
 
 // runGrouped simulates a batch grouped by benchmark trace: one executor
 // task per group (groups form in first-seen queue order), every group
-// running its lanes through core.SimulateBatch with one reusable
-// BatchScratch per worker. The executor's Skip hook drops a group only
-// when every lane lost its waiters; a group that runs re-filters its
-// lanes, so a point abandoned after the group check simply isn't
-// simulated and takes the usual requeue-or-drop path after the batch.
+// running its lanes through core.SimulateBatch, which borrows its lane
+// state from core's idle list and keeps it there between batches. The
+// executor's Skip hook drops a group only when every lane lost its
+// waiters; a group that runs re-filters its lanes, so a point abandoned
+// after the group check simply isn't simulated and takes the usual
+// requeue-or-drop path after the batch.
 // The batch accounting counters stay off the wire, so a point's line is
 // the same bytes whatever group it ran in; the serve tests pin it
 // against core.SimulatePoint.
@@ -346,33 +347,32 @@ func (s *scheduler) runGrouped(batch []*job) {
 			return true
 		},
 	}
-	exec.MapWithState(pool, groups, pipeline.NewBatchScratch,
-		func(bs *pipeline.BatchScratch, _ int, jobs []*job) struct{} {
-			live := jobs[:0]
-			for _, j := range jobs {
-				if j.waiters.Load() > 0 {
-					live = append(live, j)
-				}
+	exec.Map(pool, groups, func(_ int, jobs []*job) struct{} {
+		live := jobs[:0]
+		for _, j := range jobs {
+			if j.waiters.Load() > 0 {
+				live = append(live, j)
 			}
-			if len(live) == 0 {
-				return struct{}{}
-			}
-			opts := make([]core.PointOptions, len(live))
-			for i, j := range live {
-				j.ran = true
-				s.metrics.queueWait.Observe(time.Since(j.enqueued).Seconds())
-				opts[i] = j.opts
-			}
-			results, err := core.SimulateBatch(opts, bs, s.rec)
-			for i, j := range live {
-				if err != nil {
-					s.finishJob(j, core.BenchPoint{}, err)
-					continue
-				}
-				s.finishJob(j, results[i], nil)
-			}
+		}
+		if len(live) == 0 {
 			return struct{}{}
-		})
+		}
+		opts := make([]core.PointOptions, len(live))
+		for i, j := range live {
+			j.ran = true
+			s.metrics.queueWait.Observe(time.Since(j.enqueued).Seconds())
+			opts[i] = j.opts
+		}
+		results, err := core.SimulateBatch(opts, s.rec)
+		for i, j := range live {
+			if err != nil {
+				s.finishJob(j, core.BenchPoint{}, err)
+				continue
+			}
+			s.finishJob(j, results[i], nil)
+		}
+		return struct{}{}
+	})
 }
 
 // finishJob publishes one simulated job: marshal, count, finalize. err

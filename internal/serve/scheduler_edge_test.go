@@ -13,6 +13,7 @@ import (
 	"errors"
 	"log/slog"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -320,6 +321,46 @@ func TestRunGroupedSkipsAbandonedGroup(t *testing.T) {
 	}
 	if got := s.rec.Counter("simulations"); got != int64(len(kept)) {
 		t.Fatalf("simulations = %d, want %d (the abandoned group must not run)", got, len(kept))
+	}
+}
+
+// TestDispatchBytesPerPointBounded pins sweepd's long-lived lane state:
+// after a warm-up batch, a dispatch batch of new depths on the same
+// cached trace reuses the lane state core's idle list kept from the
+// warm-up instead of building a lane hierarchy and arena set per point,
+// so it allocates a bounded number of bytes per point.
+func TestDispatchBytesPerPointBounded(t *testing.T) {
+	const perPoint = 64 << 10
+	s := newEdgeScheduler(16)
+	s.workers = 2
+	dispatch := func(useful []float64) (bytes uint64, points int) {
+		req := SweepRequest{Useful: useful, Benchmarks: []string{"gcc"}, Instructions: 20000, Seed: 99}
+		pts, keys, err := req.Points(edgeVersion, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.admit(pts, keys, "t1"); err != nil {
+			t.Fatal(err)
+		}
+		batch := s.takeBatch()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		before := m.TotalAlloc
+		s.runBatch(batch)
+		runtime.ReadMemStats(&m)
+		return m.TotalAlloc - before, len(batch)
+	}
+	dispatch([]float64{4, 6})
+	got, n := dispatch([]float64{8, 10, 12, 14})
+	if n != 4 {
+		t.Fatalf("batch of %d points, want 4", n)
+	}
+	t.Logf("dispatch allocates %d B per point", got/uint64(n))
+	if got > perPoint*uint64(n) {
+		t.Errorf("dispatch allocates %d B per point, want <= %d", got/uint64(n), perPoint)
+	}
+	if sims := s.rec.Counter("simulations"); sims != 6 {
+		t.Errorf("simulations = %d, want 6", sims)
 	}
 }
 
