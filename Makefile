@@ -121,4 +121,4 @@ profile:
 	@echo "inspect with: $(GO) tool pprof -top cpu.pprof"
 
 # The documented pre-push command.
-check: build vet test race lint
+check: build vet test race lint bench-module

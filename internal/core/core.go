@@ -190,14 +190,19 @@ func OverheadSensitivity(cfg SweepConfig, overheadsFO4 []float64) []SweepResult 
 	out := make([]SweepResult, 0, len(overheadsFO4))
 	for _, o := range overheadsFO4 {
 		c := cfg
-		// Scale the Table 1 decomposition to the requested total.
-		t := fo4.PaperOverhead.Total()
-		c.Overhead = fo4.Overhead{
-			Latch:  fo4.PaperOverhead.Latch * o / t,
-			Skew:   fo4.PaperOverhead.Skew * o / t,
-			Jitter: fo4.PaperOverhead.Jitter * o / t,
-		}
+		c.Overhead = scaledPaperOverhead(o)
 		out = append(out, DepthSweep(c))
 	}
 	return out
+}
+
+// scaledPaperOverhead is the Table 1 latch/skew/jitter decomposition
+// scaled to a total of totalFO4, for Figure 6 and PointOptions alike.
+func scaledPaperOverhead(totalFO4 float64) fo4.Overhead {
+	t := fo4.PaperOverhead.Total()
+	return fo4.Overhead{
+		Latch:  fo4.PaperOverhead.Latch * totalFO4 / t,
+		Skew:   fo4.PaperOverhead.Skew * totalFO4 / t,
+		Jitter: fo4.PaperOverhead.Jitter * totalFO4 / t,
+	}
 }

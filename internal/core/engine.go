@@ -211,16 +211,8 @@ func runPoints(cfg SweepConfig, specs []pointSpec, traces []*trace.Trace) []Swee
 	stats := runGrid(cfg, specParams, traces)
 
 	points := make([]SweepPoint, len(specs))
-	// Aggregation scratch, reused across specs: group membership is a
-	// property of the trace list alone, so the per-group series only need
-	// truncation between specs (the group array is indexed by trace.Group;
-	// reading it in trace.Groups() order below keeps the fold order of the
-	// historical map-based aggregation).
-	var groups [3][]float64
-	for g := range groups {
-		groups[g] = make([]float64, 0, len(traces))
-	}
-	all := make([]float64, 0, len(traces))
+	fold := newGroupFold(len(traces))
+	bips := make([]float64, len(traces))
 	for si, sp := range specs {
 		pt := SweepPoint{
 			Useful:    sp.useful,
@@ -232,26 +224,15 @@ func runPoints(cfg SweepConfig, specs []pointSpec, traces []*trace.Trace) []Swee
 			points[si] = pt
 			continue
 		}
-		for g := range groups {
-			groups[g] = groups[g][:0]
-		}
-		all = all[:0]
 		pt.PerBench = make([]BenchPoint, 0, len(traces))
 		for ti, tr := range traces {
 			s := stats[si*len(traces)+ti]
-			b := metrics.BIPS(s.IPC, pt.FreqHz)
+			bips[ti] = metrics.BIPS(s.IPC, pt.FreqHz)
 			pt.PerBench = append(pt.PerBench, BenchPoint{
-				Name: tr.Name, Group: tr.Group, IPC: s.IPC, BIPS: b, Stats: s,
+				Name: tr.Name, Group: tr.Group, IPC: s.IPC, BIPS: bips[ti], Stats: s,
 			})
-			groups[tr.Group] = append(groups[tr.Group], b)
-			all = append(all, b)
 		}
-		for _, g := range trace.Groups() {
-			if xs := groups[g]; len(xs) > 0 {
-				pt.GroupBIPS[g] = metrics.HarmonicMean(xs)
-			}
-		}
-		pt.AllBIPS = metrics.HarmonicMean(all)
+		pt.AllBIPS = fold.fold(traces, bips, pt.GroupBIPS)
 		points[si] = pt
 	}
 	return points
@@ -286,34 +267,53 @@ func runIPCVariants(cfg SweepConfig, traces []*trace.Trace, base pipeline.Params
 	stats := runGrid(cfg, variantParams, traces)
 
 	out := make([]ipcPoint, len(mods))
-	// Aggregation scratch, reused across variants exactly as in runPoints.
-	var groups [3][]float64
-	for g := range groups {
-		groups[g] = make([]float64, 0, len(traces))
-	}
-	all := make([]float64, 0, len(traces))
+	fold := newGroupFold(len(traces))
+	ipcs := make([]float64, len(traces))
 	for mi := range mods {
 		pt := ipcPoint{groups: map[trace.Group]float64{}}
 		if cfg.cancelled() {
 			out[mi] = pt
 			continue
 		}
-		for g := range groups {
-			groups[g] = groups[g][:0]
+		for ti := range traces {
+			ipcs[ti] = stats[mi*len(traces)+ti].IPC
 		}
-		all = all[:0]
-		for ti, tr := range traces {
-			s := stats[mi*len(traces)+ti]
-			groups[tr.Group] = append(groups[tr.Group], s.IPC)
-			all = append(all, s.IPC)
-		}
-		for _, g := range trace.Groups() {
-			if xs := groups[g]; len(xs) > 0 {
-				pt.groups[g] = metrics.HarmonicMean(xs)
-			}
-		}
-		pt.all = metrics.HarmonicMean(all)
+		pt.all = fold.fold(traces, ipcs, pt.groups)
 		out[mi] = pt
 	}
 	return out
+}
+
+// groupFold is the per-group harmonic-mean aggregation runPoints and
+// runIPCVariants share. Its scratch is reused across folds: group
+// membership is a property of the trace list alone, so the per-group
+// series only need truncation between folds (the array is indexed by
+// trace.Group; reading it in trace.Groups() order keeps the fold order
+// of the historical map-based aggregation).
+type groupFold [3][]float64
+
+func newGroupFold(traces int) *groupFold {
+	var f groupFold
+	for g := range f {
+		f[g] = make([]float64, 0, traces)
+	}
+	return &f
+}
+
+// fold stores the harmonic mean of each group's values (vals[i] belongs
+// to traces[i], in benchmark order) into groups, and returns the
+// harmonic mean over every trace.
+func (f *groupFold) fold(traces []*trace.Trace, vals []float64, groups map[trace.Group]float64) float64 {
+	for g := range f {
+		f[g] = f[g][:0]
+	}
+	for ti, tr := range traces {
+		f[tr.Group] = append(f[tr.Group], vals[ti])
+	}
+	for _, g := range trace.Groups() {
+		if xs := f[g]; len(xs) > 0 {
+			groups[g] = metrics.HarmonicMean(xs)
+		}
+	}
+	return metrics.HarmonicMean(vals)
 }

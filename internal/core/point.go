@@ -269,17 +269,12 @@ func (o PointOptions) machine() config.Machine {
 }
 
 // overhead resolves OverheadFO4 to the Table 1 decomposition scaled to
-// the requested total, exactly like OverheadSensitivity.
+// the requested total, through the same helper as OverheadSensitivity.
 func (o PointOptions) overhead() fo4.Overhead {
 	if o.OverheadFO4 == NoOverhead {
 		return fo4.Overhead{}
 	}
-	t := fo4.PaperOverhead.Total()
-	return fo4.Overhead{
-		Latch:  fo4.PaperOverhead.Latch * o.OverheadFO4 / t,
-		Skew:   fo4.PaperOverhead.Skew * o.OverheadFO4 / t,
-		Jitter: fo4.PaperOverhead.Jitter * o.OverheadFO4 / t,
-	}
+	return scaledPaperOverhead(o.OverheadFO4)
 }
 
 // Clock returns the fo4 clock this point resolves to: its useful logic

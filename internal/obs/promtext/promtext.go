@@ -10,14 +10,15 @@
 //   - Observation-only. Nothing in this package may influence
 //     simulation results; simulation packages are forbidden from even
 //     importing it (the reprolint obsinert rule), so every value flows
-//     in through the serving layer or an obs.Recorder bridge.
+//     in through the serving layer's instruments or snapshot families.
 //   - Nil-safe instruments. Every instrument method is a no-op on a nil
 //     receiver, so a daemon with metrics disabled threads nil handles
 //     instead of guarding each call site.
 //   - Concurrency-safe. Counters and histogram cells are atomics; a
 //     scrape renders a point-in-time snapshot that is internally
 //     consistent per family (histogram buckets are cumulative and
-//     monotone within one exposition).
+//     monotone within one exposition) and per snapshot group (one read
+//     feeds every family of a NewSnapshotFamilies call).
 //
 // The package name avoids internal/metrics, which is the paper's
 // BIPS/IPC accounting and entirely unrelated.
@@ -46,13 +47,16 @@ type sample struct {
 	value  string
 }
 
-// family is one metric family: its metadata and a collect function that
-// snapshots the current samples at scrape time.
+// family is one metric family: its metadata and either a collect
+// function that snapshots the current samples at scrape time, or a slot
+// in a snapshot group whose one read per scrape feeds every member.
 type family struct {
 	name    string
 	help    string
 	typ     string // "counter", "gauge" or "histogram"
 	collect func() []sample
+	group   *snapshotGroup // non-nil for NewSnapshotFamilies members
+	slot    int            // this family's index into group.read()'s values
 }
 
 // Registry holds metric families and renders them sorted by name. The
@@ -90,20 +94,24 @@ func validName(name string) bool {
 	return true
 }
 
-// register adds one family, panicking on an invalid or duplicate name —
-// both are programmer errors caught by the first scrape test.
+// register adds one direct-instrument family.
 func (r *Registry) register(name, help, typ string, collect func() []sample) {
-	if !validName(name) {
-		panic(fmt.Sprintf("promtext: invalid metric name %q", name))
+	r.add(&family{name: name, help: help, typ: typ, collect: collect})
+}
+
+// add adds one family, panicking on an invalid or duplicate name — both
+// are programmer errors caught by the first scrape test.
+func (r *Registry) add(f *family) {
+	if !validName(f.name) {
+		panic(fmt.Sprintf("promtext: invalid metric name %q", f.name))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.byName[name]; dup {
-		panic(fmt.Sprintf("promtext: duplicate metric name %q", name))
+	if _, dup := r.byName[f.name]; dup {
+		panic(fmt.Sprintf("promtext: duplicate metric name %q", f.name))
 	}
-	f := &family{name: name, help: help, typ: typ, collect: collect}
 	r.families = append(r.families, f)
-	r.byName[name] = f
+	r.byName[f.name] = f
 }
 
 // formatValue renders an exposition float: integral values print as
@@ -138,9 +146,19 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 
 	var b strings.Builder
+	reads := map[*snapshotGroup][]float64{} // one read per group per scrape
 	for _, f := range fams {
 		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, strings.ReplaceAll(f.help, "\n", " "))
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
+		if f.group != nil {
+			vals, ok := reads[f.group]
+			if !ok {
+				vals = f.group.read()
+				reads[f.group] = vals
+			}
+			fmt.Fprintf(&b, "%s %s\n", f.name, formatValue(vals[f.slot]))
+			continue
+		}
 		for _, s := range f.collect() {
 			fmt.Fprintf(&b, "%s%s%s %s\n", f.name, s.suffix, s.labels, s.value)
 		}
@@ -300,27 +318,35 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// NewCounterFunc registers a counter whose value is read from fn at
-// scrape time — the bridge for totals that already live elsewhere (an
-// obs.Recorder counter, a store.Stats field), so /metrics and /stats
-// render the same source of truth instead of double-counting.
-func (r *Registry) NewCounterFunc(name, help string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	r.register(name, help, "counter", func() []sample {
-		return []sample{{value: formatValue(fn())}}
-	})
+// Desc declares one scalar family fed by NewSnapshotFamilies: its name,
+// its TYPE ("counter" or "gauge") and its HELP text.
+type Desc struct {
+	Name, Type, Help string
 }
 
-// NewGaugeFunc registers a gauge read from fn at scrape time.
-func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
+// snapshotGroup is the shared source of one NewSnapshotFamilies call.
+type snapshotGroup struct {
+	read func() []float64
+}
+
+// NewSnapshotFamilies registers one scalar family per desc, all fed by a
+// single call to read per scrape: read returns one value per desc, in
+// descs order. This is the bridge for numbers that already live in a
+// snapshot elsewhere (a /stats struct, a store's Stats) — one read means
+// every family in a scrape comes from the same instant, so related
+// families (a sum and its parts) cannot disagree within one exposition.
+// A nil registry never calls read.
+func (r *Registry) NewSnapshotFamilies(descs []Desc, read func() []float64) {
 	if r == nil {
 		return
 	}
-	r.register(name, help, "gauge", func() []sample {
-		return []sample{{value: formatValue(fn())}}
-	})
+	g := &snapshotGroup{read: read}
+	for i, d := range descs {
+		if d.Type != "counter" && d.Type != "gauge" {
+			panic(fmt.Sprintf("promtext: snapshot family %s has type %q, want counter or gauge", d.Name, d.Type))
+		}
+		r.add(&family{name: d.Name, help: d.Help, typ: d.Type, group: g, slot: i})
+	}
 }
 
 // NewInfo registers the conventional info pseudo-metric: a gauge fixed

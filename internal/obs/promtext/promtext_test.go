@@ -1,8 +1,10 @@
 package promtext
 
 import (
+	"io"
 	"math"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -24,7 +26,8 @@ func TestExpositionShape(t *testing.T) {
 	r.NewInfo("build_info", "Build metadata.", map[string]string{
 		"version": "pr7", "code_version": "cv1",
 	})
-	r.NewGaugeFunc("store_entries", "Store entries.", func() float64 { return 7 })
+	r.NewSnapshotFamilies([]Desc{{Name: "store_entries", Type: "gauge", Help: "Store entries."}},
+		func() []float64 { return []float64{7} })
 
 	var b strings.Builder
 	if _, err := r.WriteTo(&b); err != nil {
@@ -169,8 +172,8 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	}
 	v := r.NewCounterVec("v", "v", "reason")
 	v.With("x").Inc()
-	r.NewCounterFunc("f", "f", func() float64 { t.Error("fn called on nil registry"); return 0 })
-	r.NewGaugeFunc("f2", "f2", func() float64 { t.Error("fn called on nil registry"); return 0 })
+	r.NewSnapshotFamilies([]Desc{{Name: "f", Type: "counter", Help: "f"}},
+		func() []float64 { t.Error("read called on nil registry"); return nil })
 	r.NewInfo("i", "i", map[string]string{"a": "b"})
 	var b strings.Builder
 	if n, err := r.WriteTo(&b); n != 0 || err != nil || b.Len() != 0 {
@@ -202,6 +205,57 @@ func TestHandlerContentType(t *testing.T) {
 	}
 }
 
+// TestSnapshotFamiliesOneReadPerScrape: every family of one
+// NewSnapshotFamilies call renders from the same read, taken once per
+// scrape however the group's names interleave with other families, and
+// a read shorter than the group is a programmer error.
+func TestSnapshotFamiliesOneReadPerScrape(t *testing.T) {
+	r := NewRegistry()
+	reads := 0
+	r.NewSnapshotFamilies([]Desc{
+		{Name: "z_parts", Type: "gauge", Help: "Parts."},
+		{Name: "a_total", Type: "counter", Help: "Total."},
+	}, func() []float64 {
+		reads++
+		return []float64{float64(reads), float64(10 * reads)}
+	})
+	r.NewCounter("m_between", "Sorts between the group's families.")
+
+	for scrape := 1; scrape <= 2; scrape++ {
+		var b strings.Builder
+		if _, err := r.WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		if reads != scrape {
+			t.Fatalf("after scrape %d: %d reads, want %d", scrape, reads, scrape)
+		}
+		want := strings.Join([]string{
+			`# HELP a_total Total.`,
+			`# TYPE a_total counter`,
+			`a_total ` + strconv.Itoa(10*scrape),
+			`# HELP m_between Sorts between the group's families.`,
+			`# TYPE m_between counter`,
+			`m_between 0`,
+			`# HELP z_parts Parts.`,
+			`# TYPE z_parts gauge`,
+			`z_parts ` + strconv.Itoa(scrape),
+		}, "\n") + "\n"
+		if b.String() != want {
+			t.Errorf("scrape %d:\n--- got ---\n%s--- want ---\n%s", scrape, b.String(), want)
+		}
+	}
+
+	short := NewRegistry()
+	short.NewSnapshotFamilies([]Desc{{Name: "a", Type: "gauge", Help: "a"}, {Name: "b", Type: "gauge", Help: "b"}},
+		func() []float64 { return []float64{1} })
+	defer func() {
+		if recover() == nil {
+			t.Error("short snapshot read did not panic")
+		}
+	}()
+	short.WriteTo(io.Discard)
+}
+
 func TestRegisterPanics(t *testing.T) {
 	cases := []struct {
 		name string
@@ -215,6 +269,12 @@ func TestRegisterPanics(t *testing.T) {
 		{"colon label", func(r *Registry) { r.NewCounterVec("v", "x", "a:b") }},
 		{"bad info label", func(r *Registry) { r.NewInfo("i", "x", map[string]string{"1x": "y"}) }},
 		{"unsorted buckets", func(r *Registry) { r.NewHistogram("h", "x", []float64{1, 1}) }},
+		{"snapshot histogram", func(r *Registry) {
+			r.NewSnapshotFamilies([]Desc{{Name: "s", Type: "histogram", Help: "x"}}, nil)
+		}},
+		{"snapshot duplicate", func(r *Registry) {
+			r.NewSnapshotFamilies([]Desc{{Name: "s", Type: "gauge", Help: "x"}, {Name: "s", Type: "counter", Help: "x"}}, nil)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

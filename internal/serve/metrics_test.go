@@ -8,11 +8,14 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -351,4 +354,198 @@ func TestRejectReasonsCounted(t *testing.T) {
 	if got := metricValue(t, exp, "sweep_draining"); got != 1 {
 		t.Errorf("sweep_draining = %v, want 1 after BeginDrain", got)
 	}
+}
+
+// directInstruments are the /metrics families with no /stats twin: the
+// serving-layer instruments metrics.go registers directly.
+var directInstruments = map[string]bool{
+	"build_info":                   true,
+	"sweep_http_requests_inflight": true,
+	"sweep_queue_wait_seconds":     true,
+	"sweep_rejects_total":          true,
+	"sweep_request_seconds":        true,
+	"sweep_slow_requests_total":    true,
+	"sweep_stream_bytes_total":     true,
+	"sweep_stream_seconds":         true,
+}
+
+// metricJSONNames maps each family a Stats field declares to that
+// field's /stats JSON name.
+func metricJSONNames() map[string]string {
+	out := map[string]string{}
+	typ := reflect.TypeOf(Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		tag, ok := f.Tag.Lookup("metric")
+		if !ok {
+			continue
+		}
+		family, _, _ := strings.Cut(tag, ",")
+		jsonName, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		out[family] = jsonName
+	}
+	return out
+}
+
+// TestStatsMetricsOneSource: after traffic on a durable store — cold
+// and cached sweeps, a GET /results pull, a drain and the reject it
+// causes — every /metrics family other than the direct instruments
+// equals the /stats field that declares it, and every declared family
+// is rendered. Uptime may differ only by the time between the requests.
+func TestStatsMetricsOneSource(t *testing.T) {
+	d := openTestStore(t, t.TempDir(), "v-one-source")
+	t.Cleanup(func() { d.Close() })
+	srv, ts := newTestServer(t, Config{Workers: 2, CodeVersion: "v-one-source", Store: d})
+
+	body := `{"useful":[4,8],"benchmarks":["gcc","swim"],"instructions":4000}`
+	for i := 0; i < 2; i++ { // the second pass is all cache hits
+		if _, done := readStream(t, postSweep(t, ts.URL, body)); !done {
+			t.Fatal("stream ended without the done trailer")
+		}
+	}
+	if records, _ := pullResults(t, ts.URL, 0); len(records) != 4 {
+		t.Fatalf("GET /results streamed %d records, want 4", len(records))
+	}
+	srv.BeginDrain()
+	resp := postSweep(t, ts.URL, body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("sweep while draining: status %d, want 503", resp.StatusCode)
+	}
+
+	before := time.Now()
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("decoding /stats: %v", err)
+	}
+	exp := scrapeMetrics(t, ts.URL)
+	elapsed := time.Since(before).Seconds()
+	if err := promtext.Lint(exp); err != nil {
+		t.Fatalf("invalid exposition: %v", err)
+	}
+
+	declared := metricJSONNames()
+	rendered := map[string]bool{}
+	for _, line := range strings.Split(string(exp), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) != 4 || fields[0] != "#" || fields[1] != "TYPE" || directInstruments[fields[2]] {
+			continue
+		}
+		family := fields[2]
+		rendered[family] = true
+		jsonName, ok := declared[family]
+		if !ok {
+			t.Errorf("/metrics family %s is declared by no Stats field", family)
+			continue
+		}
+		var want float64
+		switch v := stats[jsonName].(type) {
+		case float64:
+			want = v
+		case bool:
+			if v {
+				want = 1
+			}
+		default:
+			t.Errorf("/stats has no numeric %q for %s (got %v)", jsonName, family, stats[jsonName])
+			continue
+		}
+		got := metricValue(t, exp, family)
+		if family == "sweep_uptime_seconds" {
+			if got < want || got > want+elapsed {
+				t.Errorf("%s = %v, /stats says %v; want within %.6fs after it", family, got, want, elapsed)
+			}
+			continue
+		}
+		if got != want {
+			t.Errorf("%s = %v, /stats %s says %v", family, got, jsonName, want)
+		}
+	}
+	for family := range declared {
+		if !rendered[family] {
+			t.Errorf("Stats declares %s but /metrics does not render it", family)
+		}
+	}
+
+	// The traffic moved the families this test exists for.
+	for _, c := range []struct {
+		sample string
+		want   float64
+	}{
+		{"sweep_simulations_total", 4},
+		{"sweep_delta_pulls_total", 1},
+		{"sweep_draining", 1},
+		{"sweep_requests_rejected_total", 1},
+		{"store_cursor", 4},
+	} {
+		if got := metricValue(t, exp, c.sample); got != c.want {
+			t.Errorf("%s = %v, want %v", c.sample, got, c.want)
+		}
+	}
+}
+
+// TestScrapeQueueGaugesConsistent: while concurrent cold sweeps move
+// points through the queue, every scrape's inflight gauge equals its
+// queue depth plus running points — all three come from one read of the
+// scheduler, so a scrape can never split across a dispatch.
+func TestScrapeQueueGaugesConsistent(t *testing.T) {
+	const clients, requests = 3, 3
+	_, ts := newTestServer(t, Config{Workers: 1})
+
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		c := c
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < requests; r++ {
+				body := fmt.Sprintf(`{"useful":[4,6,8],"benchmarks":["gcc"],"instructions":2000,"seed":%d}`, 100+c*requests+r)
+				resp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Errorf("client %d: %v", c, err)
+					return
+				}
+				if _, done, err := readStreamErr(resp); err != nil || !done {
+					t.Errorf("client %d: done=%v err=%v", c, done, err)
+					return
+				}
+			}
+		}()
+	}
+	sweepsDone := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(sweepsDone)
+	}()
+
+	scrapes, busy := 0, 0
+	for finished := false; !finished; {
+		select {
+		case <-sweepsDone:
+			finished = true // one last scrape on the quiesced daemon
+		default:
+		}
+		exp := scrapeMetrics(t, ts.URL)
+		queued := metricValue(t, exp, "sweep_queue_depth")
+		running := metricValue(t, exp, "sweep_running_points")
+		inflight := metricValue(t, exp, "sweep_inflight_points")
+		if inflight != queued+running {
+			t.Fatalf("scrape %d: sweep_inflight_points = %v, but queue depth %v + running %v = %v",
+				scrapes, inflight, queued, running, queued+running)
+		}
+		scrapes++
+		if inflight > 0 {
+			busy++
+		}
+		if finished && inflight != 0 {
+			t.Errorf("quiesced daemon still reports %v inflight points", inflight)
+		}
+	}
+	t.Logf("%d scrapes, %d with points in flight", scrapes, busy)
 }

@@ -463,10 +463,10 @@ func (s *scheduler) close() {
 	<-s.stopped
 }
 
-// gauges reports the live queue and cache state for /healthz and /stats.
-func (s *scheduler) gauges() (queued, running, cacheSize int, cacheBytes int64) {
+// gauges reports the live queue state for /healthz and the stats
+// snapshot, read under one lock so queued and running are consistent.
+func (s *scheduler) gauges() (queued, running int) {
 	s.mu.Lock()
-	queued, running = len(s.queue), s.running
-	s.mu.Unlock()
-	return queued, running, s.cache.Len(), s.cache.Bytes()
+	defer s.mu.Unlock()
+	return len(s.queue), s.running
 }

@@ -187,8 +187,8 @@ func New(cfg Config) *Server {
 		mux:   http.NewServeMux(),
 		start: time.Now(), // uptime gauge only; /stats is off the deterministic result path
 	}
-	// Metrics before the scheduler: the registry's collectors close over
-	// s and only dereference s.sched at scrape time, while the scheduler
+	// Metrics before the scheduler: the snapshot families close over s
+	// and only dereference s.sched at scrape time, while the scheduler
 	// needs the histogram handles at construction.
 	s.metrics = newServerMetrics(!cfg.DisableMetrics, s)
 	s.sched = newScheduler(cfg.Workers, cfg.QueueLimit, cfg.Store, cfg.CodeVersion, cfg.Rec, cfg.Log, s.metrics)
@@ -363,7 +363,7 @@ type Health struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	queued, _, _, _ := s.sched.gauges()
+	queued, _ := s.sched.gauges()
 	h := Health{Status: "ok", QueueDepth: queued}
 	status := http.StatusOK
 	if s.draining.Load() {
@@ -378,66 +378,89 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(h)
 }
 
-// Stats is the /stats body: live queue gauges, the point cache's hit
-// economy, and the full telemetry snapshot (which carries the
-// simulator's wakeup_wakes/wakeup_scanned counters and per-task
-// timings).
+// Stats is the /stats body and the one schema of the daemon's derived
+// numbers: live queue gauges, the point cache's hit economy, the store
+// economy, the request counters, and the full telemetry snapshot (which
+// carries the simulator's wakeup_wakes/wakeup_scanned counters and
+// per-task timings). A field tagged `metric:"name,type" help:"..."`
+// also declares its /metrics family, so one struct feeds both
+// endpoints and a new field appears on both without dual code.
 type Stats struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
+	UptimeSeconds float64 `json:"uptime_seconds" metric:"sweep_uptime_seconds,gauge" help:"Seconds since the server was built."`
+	Draining      bool    `json:"draining" metric:"sweep_draining,gauge" help:"1 once BeginDrain has been called, else 0."`
 
-	QueueDepth     int `json:"queue_depth"`
-	RunningPoints  int `json:"running_points"`
-	InflightPoints int `json:"inflight_points"` // queued + running
+	QueueDepth     int `json:"queue_depth" metric:"sweep_queue_depth,gauge" help:"Admitted points waiting for a batch."`
+	RunningPoints  int `json:"running_points" metric:"sweep_running_points,gauge" help:"Points in the currently dispatched batch."`
+	InflightPoints int `json:"inflight_points" metric:"sweep_inflight_points,gauge" help:"Queued plus running points."`
 
-	CacheSize      int     `json:"cache_size"`
-	CacheBytes     int64   `json:"cache_bytes"`
-	CacheHits      int64   `json:"cache_hits"`
-	CacheMisses    int64   `json:"cache_misses"`
+	// CacheSize / CacheBytes are the store's warm layer (store.Stats
+	// MemEntries / MemBytes).
+	CacheSize      int     `json:"cache_size" metric:"store_mem_entries,gauge" help:"Result lines resident in the warm layer."`
+	CacheBytes     int64   `json:"cache_bytes" metric:"store_mem_bytes,gauge" help:"Bytes of result lines resident in the warm layer."`
+	CacheHits      int64   `json:"cache_hits" metric:"sweep_point_cache_hits_total,counter" help:"Points served from the result store or joined in flight."`
+	CacheMisses    int64   `json:"cache_misses" metric:"sweep_point_cache_misses_total,counter" help:"Points that required a fresh simulation."`
 	CacheHitRatio  float64 `json:"cache_hit_ratio"`
-	CacheEvictions int64   `json:"cache_evictions"`
-	DedupJoins     int64   `json:"dedup_joins"`
+	CacheEvictions int64   `json:"cache_evictions" metric:"store_evictions_total,counter" help:"Warm-layer LRU evictions."`
+	DedupJoins     int64   `json:"dedup_joins" metric:"sweep_dedup_joins_total,counter" help:"Singleflight joins onto an already in-flight point."`
 
 	// The durable-store economy: hits served warm from the replayed
 	// memory layer, hits re-read from a segment, live segment files and
 	// their bytes, coordinator compactions, and the delta-sync cursor
 	// high-water mark. All zero in memory-only mode.
-	WarmHits    int64  `json:"warm_hits"`
-	DiskHits    int64  `json:"disk_hits"`
-	Segments    int    `json:"segments"`
-	StoreBytes  int64  `json:"store_bytes"`
-	Compactions int64  `json:"compactions"`
-	StoreCursor uint64 `json:"store_cursor"`
+	WarmHits    int64  `json:"warm_hits" metric:"store_warm_hits_total,counter" help:"Hits served from warm-start replayed lines."`
+	DiskHits    int64  `json:"disk_hits" metric:"store_disk_hits_total,counter" help:"Hits re-read from a segment after a memory miss."`
+	Segments    int    `json:"segments" metric:"store_segments,gauge" help:"Live segment files."`
+	StoreBytes  int64  `json:"store_bytes" metric:"store_bytes,gauge" help:"Total bytes across live segment files."`
+	Compactions int64  `json:"compactions" metric:"store_compactions_total,counter" help:"Sealed segments retired by the compaction coordinator."`
+	StoreCursor uint64 `json:"store_cursor" metric:"store_cursor,gauge" help:"Highest assigned delta-sync cursor."`
 
 	// Degraded-store operations (see store.Stats): nonzero means the
 	// daemon is serving but the segment log needs an operator.
-	DiskEntries       int   `json:"disk_entries"`
-	StoreAppendErrors int64 `json:"store_append_errors"`
-	StoreReadErrors   int64 `json:"store_read_errors"`
+	DiskEntries       int   `json:"disk_entries" metric:"store_disk_entries,gauge" help:"Distinct keys indexed in the segment log."`
+	StoreAppendErrors int64 `json:"store_append_errors" metric:"store_append_errors_total,counter" help:"Failed segment appends (result stayed memory-only)."`
+	StoreReadErrors   int64 `json:"store_read_errors" metric:"store_read_errors_total,counter" help:"Indexed records that could not be re-read (served as a miss)."`
 
-	Requests      int64 `json:"requests"`
-	Rejected      int64 `json:"requests_rejected"`
-	Disconnects   int64 `json:"client_disconnects"`
-	PointsDone    int64 `json:"points_done"`
-	PointsDropped int64 `json:"points_dropped"`
+	Requests      int64 `json:"requests" metric:"sweep_requests_total,counter" help:"Admitted /sweep requests."`
+	Rejected      int64 `json:"requests_rejected" metric:"sweep_requests_rejected_total,counter" help:"Rejected /sweep requests, all reasons."`
+	Disconnects   int64 `json:"client_disconnects" metric:"sweep_client_disconnects_total,counter" help:"Streams dropped by the client before completion."`
+	PointsDone    int64 `json:"points_done" metric:"sweep_points_done_total,counter" help:"Points simulated and published."`
+	PointsDropped int64 `json:"points_dropped" metric:"sweep_points_dropped_total,counter" help:"Admitted points abandoned by every requester before running."`
+	Simulations   int64 `json:"simulations" metric:"sweep_simulations_total,counter" help:"Simulations actually executed (misses that ran)."`
+	DeltaPulls    int64 `json:"delta_pulls" metric:"sweep_delta_pulls_total,counter" help:"Completed GET /results delta-sync pulls."`
 
 	Telemetry obs.Snapshot `json:"telemetry"`
 }
 
-// StatsSnapshot assembles the current Stats; exported so tests and
-// embedding binaries can read it without HTTP.
+// StatsSnapshot assembles the current Stats, telemetry included;
+// exported so tests and embedding binaries can read it without HTTP.
 func (s *Server) StatsSnapshot() Stats {
-	queued, running, cacheSize, cacheBytes := s.sched.gauges()
+	st := s.snapshot()
+	st.Telemetry = s.rec.Snapshot()
+	return st
+}
+
+// snapshot fills every field of Stats but Telemetry, reading each source
+// once: the recorder counters, the store's Stats, the scheduler's queue
+// gauges, the draining flag and uptime. It is the only reader of those
+// sources behind /stats and /metrics, so a scrape's families all come
+// from one instant (inflight is queued + running by construction) and
+// never pay for sorting telemetry task samples.
+func (s *Server) snapshot() Stats {
+	queued, running := s.sched.gauges()
 	ss := s.cfg.Store.Stats()
+	c := s.rec.Counter
 	st := Stats{
 		UptimeSeconds:     time.Since(s.start).Seconds(), // observation-only: never feeds a result body
+		Draining:          s.draining.Load(),
 		QueueDepth:        queued,
 		RunningPoints:     running,
 		InflightPoints:    queued + running,
-		CacheSize:         cacheSize,
-		CacheBytes:        cacheBytes,
-		CacheHits:         s.rec.Counter("point_cache_hits"),
-		CacheMisses:       s.rec.Counter("point_cache_misses"),
+		CacheSize:         ss.MemEntries,
+		CacheBytes:        ss.MemBytes,
+		CacheHits:         c("point_cache_hits"),
+		CacheMisses:       c("point_cache_misses"),
 		CacheEvictions:    ss.Evictions,
+		DedupJoins:        c("dedup_joins"),
 		WarmHits:          ss.WarmHits,
 		DiskHits:          ss.DiskHits,
 		Segments:          ss.Segments,
@@ -447,13 +470,13 @@ func (s *Server) StatsSnapshot() Stats {
 		DiskEntries:       ss.DiskEntries,
 		StoreAppendErrors: ss.AppendErrors,
 		StoreReadErrors:   ss.ReadErrors,
-		DedupJoins:        s.rec.Counter("dedup_joins"),
-		Requests:          s.rec.Counter("requests"),
-		Rejected:          s.rec.Counter("requests_rejected"),
-		Disconnects:       s.rec.Counter("client_disconnects"),
-		PointsDone:        s.rec.Counter("points_done"),
-		PointsDropped:     s.rec.Counter("points_dropped"),
-		Telemetry:         s.rec.Snapshot(),
+		Requests:          c("requests"),
+		Rejected:          c("requests_rejected"),
+		Disconnects:       c("client_disconnects"),
+		PointsDone:        c("points_done"),
+		PointsDropped:     c("points_dropped"),
+		Simulations:       c("simulations"),
+		DeltaPulls:        c("delta_pulls"),
 	}
 	if total := st.CacheHits + st.CacheMisses; total > 0 {
 		st.CacheHitRatio = float64(st.CacheHits) / float64(total)

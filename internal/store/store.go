@@ -41,15 +41,8 @@ type ResultStore interface {
 	// construction).
 	Put(key string, line []byte)
 
-	// Len is the number of lines resident in memory (the fast layer,
-	// for a durable store — the disk index can be larger).
-	Len() int
-
-	// Bytes is the resident in-memory line bytes, for the cache-economy
-	// gauges in /stats.
-	Bytes() int64
-
-	// Stats is the full observability snapshot; purely in-memory
+	// Stats is the full observability snapshot, the resident memory
+	// layer's entries and bytes included; purely in-memory
 	// implementations leave the disk fields zero.
 	Stats() Stats
 }
@@ -178,20 +171,6 @@ func (m *Memory) put(key string, line []byte, warm bool) {
 		m.evictions.Add(1)
 		m.rec.Add("cache_evictions", 1)
 	}
-}
-
-// Len is the resident entry count.
-func (m *Memory) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lru.Len()
-}
-
-// Bytes is the resident line bytes.
-func (m *Memory) Bytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.bytes
 }
 
 // Stats snapshots the memory-layer economy; disk fields stay zero.
