@@ -63,8 +63,9 @@ bench-smoke:
 # reason. CI fails on a regression beyond BENCH_THRESHOLD — tighten it
 # for a real measurement run, and re-record the baseline after any
 # intentional perf change (see EXPERIMENTS.md for the capture workflow).
-# -cpu 1 pins GOMAXPROCS to the baseline's: the worker pool allocates
-# per-worker state, so allocs/op only compare at equal core counts.
+# -cpu 1 pins GOMAXPROCS to the baseline's: lane state is borrowed from
+# internal/core's idle list, which grows one entry per concurrent
+# borrower, so allocs/op only compare at equal core counts.
 BENCH_THRESHOLD ?= 50
 BENCH_TIME ?= 2x
 

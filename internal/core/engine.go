@@ -98,10 +98,13 @@ func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) [
 // Retention bound: the list holds at most one entry per borrower that was
 // ever active at once — at most one per executor worker running
 // simulations concurrently. An entry keeps one 2 MiB-L2 lane hierarchy
-// and one prewarm template (~0.5 MiB each) plus 28 B of arenas per
-// instruction of the longest trace it ran: ~1.6 MB at 20 000
-// instructions, ~29 MB at sweepd's 1 000 000-instruction cap. Entries
-// are never freed, so a process keeps the state of its busiest moment.
+// and one prewarm template (~0.5 MiB each) plus, per instruction of the
+// longest trace it ran, 28 B of timing arenas and 30 B of decode and
+// consumer-index arenas: ~2.2 MB at 20 000 instructions, ~59 MB at
+// sweepd's 1 000 000-instruction cap. The decode arenas are rebuilt by
+// every call and hold no reference to a trace, so an entry never keeps
+// a trace alive. Entries are never freed, so a process keeps the state
+// of its busiest moment.
 var idleScratch struct {
 	mu   sync.Mutex
 	free []*pipeline.BatchScratch
@@ -142,7 +145,10 @@ type traceKey struct {
 // traceCache holds every trace generated so far, process-wide. The
 // simulators never mutate a trace (see the contract in internal/trace),
 // so one generation serves every study, worker and clock point that asks
-// for the same (profile, instructions, seed).
+// for the same (profile, instructions, seed). It is the only process-wide
+// per-trace store: the decode and consumer index derived from a trace are
+// per-call state in the pipeline Scratch, so bounding this cache bounds
+// all per-trace memory.
 var traceCache sync.Map // traceKey → *trace.Trace
 
 // cachedTrace returns the (profile, instructions, seed) trace, generating

@@ -76,12 +76,13 @@ func TestRepeatStudyBytesBounded(t *testing.T) {
 }
 
 // leakCall is one call of the reuse-leak sequence: a RunBatch lane set
-// or a SimulateBatch point set, on one trace length.
+// or a SimulateBatch point set, on one benchmark's trace of one length.
 type leakCall struct {
-	name string
-	n    int
-	run  func() ([]pipeline.Stats, error)
-	want []pipeline.Stats
+	name  string
+	bench string
+	n     int
+	run   func() ([]pipeline.Stats, error)
+	want  []pipeline.Stats
 }
 
 // leakLanes is a deliberately heterogeneous RunBatch lane set on the
@@ -120,12 +121,12 @@ func leakLanes(n int) [][]pipeline.Params {
 	}
 }
 
-// leakCalls builds every call of the sequence on the n-instruction
+// leakCalls builds every call of the sequence on bench's n-instruction
 // trace, each with its expected Stats from pipeline.RunWith on a fresh
 // Scratch per lane.
-func leakCalls(t *testing.T, n int) []leakCall {
+func leakCalls(t *testing.T, bench string, n int) []leakCall {
 	t.Helper()
-	prof, _ := ProfileByName("gcc")
+	prof, _ := ProfileByName(bench)
 	tr := cachedTrace(prof, n, 1, nil)
 	oracle := func(params []pipeline.Params, tr *trace.Trace) []pipeline.Stats {
 		out := make([]pipeline.Stats, len(params))
@@ -139,7 +140,7 @@ func leakCalls(t *testing.T, n int) []leakCall {
 	for i, params := range leakLanes(n) {
 		params := params
 		calls = append(calls, leakCall{
-			name: fmt.Sprintf("RunBatch set %d", i), n: n,
+			name: fmt.Sprintf("RunBatch set %d", i), bench: bench, n: n,
 			run:  func() ([]pipeline.Stats, error) { return runLanes(params, tr), nil },
 			want: oracle(params, tr),
 		})
@@ -151,12 +152,12 @@ func leakCalls(t *testing.T, n int) []leakCall {
 	for i, opts := range pointSets {
 		params := make([]pipeline.Params, len(opts))
 		for j := range opts {
-			opts[j].Benchmark, opts[j].Instructions, opts[j].Seed = "gcc", n, 1
+			opts[j].Benchmark, opts[j].Instructions, opts[j].Seed = bench, n, 1
 			params[j], _ = opts[j].Normalize().params()
 		}
 		opts := opts
 		calls = append(calls, leakCall{
-			name: fmt.Sprintf("SimulateBatch set %d", i), n: n,
+			name: fmt.Sprintf("SimulateBatch set %d", i), bench: bench, n: n,
 			run: func() ([]pipeline.Stats, error) {
 				pts, err := SimulateBatch(opts, nil)
 				out := make([]pipeline.Stats, len(pts))
@@ -176,13 +177,13 @@ func leakCalls(t *testing.T, n int) []leakCall {
 func checkLeakCall(c leakCall) error {
 	got, err := c.run()
 	if err != nil {
-		return fmt.Errorf("%s (n=%d): %v", c.name, c.n, err)
+		return fmt.Errorf("%s (%s, n=%d): %v", c.name, c.bench, c.n, err)
 	}
 	for i := range c.want {
 		g, _ := json.Marshal(got[i])
 		w, _ := json.Marshal(c.want[i])
 		if !bytes.Equal(g, w) {
-			return fmt.Errorf("%s (n=%d) lane %d: reused state diverges from a fresh Scratch:\n got %s\nwant %s", c.name, c.n, i, g, w)
+			return fmt.Errorf("%s (%s, n=%d) lane %d: reused state diverges from a fresh Scratch:\n got %s\nwant %s", c.name, c.bench, c.n, i, g, w)
 		}
 	}
 	return nil
@@ -191,13 +192,15 @@ func checkLeakCall(c leakCall) error {
 // TestIdleScratchReuseDoesNotLeak is the reuse-leak guard for
 // long-lived worker state: shuffled sequences of RunBatch and
 // SimulateBatch calls — three cache geometries, flat memory, in-order and
-// segmented-window lanes, a 20 000-instruction trace and then a
-// 5 000-instruction one, so arenas shrink — run over the shared idle
+// segmented-window lanes, two 20 000-instruction traces (gcc and swim,
+// so state kept from the other trace of the same length shows) and then
+// a 5 000-instruction one, so arenas shrink — run over the shared idle
 // list, serially (every call reuses the same entry) and then
 // concurrently, and every lane must equal pipeline.RunWith on a fresh
 // Scratch byte for byte.
 func TestIdleScratchReuseDoesNotLeak(t *testing.T) {
-	long, short := leakCalls(t, 20000), leakCalls(t, 5000)
+	long := append(leakCalls(t, "gcc", 20000), leakCalls(t, "swim", 20000)...)
+	short := leakCalls(t, "gcc", 5000)
 	for _, seed := range []int64{1, 2} {
 		rng := rand.New(rand.NewSource(seed))
 		shuffled := func(calls []leakCall) []leakCall {

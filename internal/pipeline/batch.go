@@ -1,23 +1,24 @@
 package pipeline
 
-import (
-	"repro/internal/mem"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // RunBatch simulates one benchmark trace under every lane of params in a
 // single batched pass: the depth-invariant per-benchmark work — the
 // instruction decode and class flags, the tournament predictor's training
-// walk, the consumer CSR (trace.ConsumerIndexOf), and the cache-prewarm
-// walk — is done once and shared, while each lane keeps its own timing
-// state in its Scratch. Lanes are partitioned by memory-system geometry
-// in first-seen order; lanes in a partition of two or more share one
+// walk, the consumer CSR (trace.ConsumerIndex, built only when some lane
+// is out-of-order), and the cache-prewarm walk — is done once per call
+// and shared, while each lane keeps its own timing state in its Scratch.
+// The shared state lives in the first lane's Scratch (a throwaway one
+// when that slot is nil), beside its lane state, and is rebuilt by the
+// next call. Lanes are partitioned by memory-system geometry in
+// first-seen order; lanes in a partition of two or more share one
 // prewarmed hierarchy template (its post-prewarm state is a pure function
 // of geometry and trace, so copying it is bit-identical to rebuilding
 // it), and a lane whose geometry no other lane shares falls back to the
-// plain RunWith path with zero BatchLanes. Structural divergence between lanes — different
-// WindowStages, PreSelect shapes, in-order vs out-of-order — is always
-// allowed: each lane runs its own core loop over the shared decode.
+// plain RunWith path with zero BatchLanes. Structural divergence between
+// lanes — different WindowStages, PreSelect shapes, in-order vs
+// out-of-order — is always allowed: each lane runs its own core loop over
+// the shared decode.
 //
 // out[i] equals RunWith(params[i], tr, scratches[i]) field for field,
 // except for the BatchLanes/BatchSharedDecode accounting that only
@@ -26,10 +27,11 @@ import (
 // Scratch, must not be shared with concurrent calls. Slots may alias one
 // Scratch, and BatchScratch.Lanes makes them all alias it: lanes run
 // strictly one after another, each fully re-initializing the state it
-// reads (the Scratch contract), and a partition's prewarm template
-// (Scratch.warmTmpl) is a separate object from the lane hierarchy
-// (Scratch.hier) that every lane copies it into, so a lane never
-// overwrites the template the next lane copies from.
+// reads (the Scratch contract), lanes only read the decode
+// (Scratch.dec), and a partition's prewarm template (Scratch.warmTmpl) is
+// a separate object from the lane hierarchy (Scratch.hier) that every
+// lane copies it into, so a lane never overwrites the shared state the
+// next lane reads.
 func RunBatch(params []Params, tr *trace.Trace, scratches []*Scratch) []Stats {
 	if len(scratches) != len(params) {
 		panic("pipeline: RunBatch needs one scratch slot per lane")
@@ -38,6 +40,15 @@ func RunBatch(params []Params, tr *trace.Trace, scratches []*Scratch) []Stats {
 	if len(params) == 0 {
 		return out
 	}
+	owner := scratches[0]
+	if owner == nil {
+		owner = NewScratch()
+	}
+	outOfOrder := false
+	for i := range params {
+		outOfOrder = outOfOrder || !params[i].Machine.InOrder
+	}
+	owner.decode(tr, outOfOrder)
 
 	// Fast path: every lane has the same memory-system geometry — the
 	// depth-sweep shape, where lanes differ only in clock-derived timing —
@@ -51,7 +62,7 @@ func RunBatch(params []Params, tr *trace.Trace, scratches []*Scratch) []Stats {
 		}
 	}
 	if uniform {
-		runBatchPartition(params, tr, scratches, out, nil)
+		runBatchPartition(params, tr, scratches, owner, out, nil)
 	} else {
 		// Mixed-machine grids (ablations, capacity studies) are rare and
 		// small, so the partition bookkeeping may allocate.
@@ -72,12 +83,12 @@ func RunBatch(params []Params, tr *trace.Trace, scratches []*Scratch) []Stats {
 					lanes = append(lanes, j)
 				}
 			}
-			runBatchPartition(params, tr, scratches, out, lanes)
+			runBatchPartition(params, tr, scratches, owner, out, lanes)
 		}
 	}
 
 	// Every lane after the first consumed the decode (and predictor walk)
-	// the batch's first lane built or found.
+	// built for the batch's first lane.
 	shared := uint64(len(tr.Insts))
 	for i := 1; i < len(out); i++ {
 		out[i].BatchSharedDecode = shared
@@ -87,10 +98,11 @@ func RunBatch(params []Params, tr *trace.Trace, scratches []*Scratch) []Stats {
 
 // runBatchPartition runs the lanes of one geometry partition. lanes
 // lists the partition's lane indices; nil means all of params (the
-// uniform fast path). Single-lane partitions are the RunWith fallback;
-// larger ones build the shared prewarm template once and copy it into
-// every lane.
-func runBatchPartition(params []Params, tr *trace.Trace, scratches []*Scratch, out []Stats, lanes []int) {
+// uniform fast path). owner holds the call's shared state: the decode,
+// already built, and the partition's prewarm template. Single-lane
+// partitions are the RunWith fallback; larger ones build the template
+// once and copy it into every lane.
+func runBatchPartition(params []Params, tr *trace.Trace, scratches []*Scratch, owner *Scratch, out []Stats, lanes []int) {
 	count := len(params)
 	if lanes != nil {
 		count = len(lanes)
@@ -107,27 +119,20 @@ func runBatchPartition(params []Params, tr *trace.Trace, scratches []*Scratch, o
 		// it runs the plain RunWith path and keeps BatchLanes zero, so its
 		// Stats are indistinguishable from an unbatched run's.
 		i := laneAt(0)
-		out[i] = runWith(params[i], tr, scratches[i], nil)
+		out[i] = runWith(params[i], tr, scratches[i], &owner.dec, nil)
 		return
 	}
 
-	// Prewarm once per partition. The template lives on the partition's
-	// first scratch, beside (never in place of) its lane hierarchy, so its
-	// allocation amortizes across batches; a nil scratch (one-off callers)
-	// builds a throwaway.
-	i0 := laneAt(0)
-	var tmpl *mem.Hierarchy
-	if s0 := scratches[i0]; s0 != nil {
-		tmpl = s0.warmTemplate(params[i0].Machine)
-	} else {
-		tmpl = newHierarchy(params[i0].Machine)
-	}
+	// Prewarm once per partition. The template lives on owner, beside
+	// (never in place of) its lane hierarchy, so its allocation amortizes
+	// across batches.
+	tmpl := owner.warmTemplate(params[laneAt(0)].Machine)
 	tmpl.Coverage = tr.PrefetchCoverage
 	tmpl.Prewarm(tr.HotBytes, tr.WarmBytes)
 
 	for k := 0; k < count; k++ {
 		i := laneAt(k)
-		out[i] = runWith(params[i], tr, scratches[i], tmpl)
+		out[i] = runWith(params[i], tr, scratches[i], &owner.dec, tmpl)
 		out[i].BatchLanes = uint64(count)
 	}
 }

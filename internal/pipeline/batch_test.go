@@ -4,6 +4,11 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
+
+	"repro/internal/config"
+	"repro/internal/fo4"
+	"repro/internal/trace"
 )
 
 // batchGrid builds a deliberately heterogeneous lane set: a depth sweep,
@@ -150,7 +155,7 @@ func TestRunBatchBytesIndependentOfLaneCount(t *testing.T) {
 	for u := 2; u <= 16; u++ {
 		params = append(params, paramsAt(float64(u)))
 	}
-	RunBatch(params, tr, NewBatchScratch().Lanes(len(params))) // build the trace's shared decode
+	RunBatch(params, tr, NewBatchScratch().Lanes(len(params))) // settle one-time runtime allocation
 
 	one := allocBytes(func() { RunBatch(params[:1], tr, NewBatchScratch().Lanes(1)) })
 	bs := NewBatchScratch()
@@ -165,6 +170,40 @@ func TestRunBatchBytesIndependentOfLaneCount(t *testing.T) {
 	}
 	if again > 16<<10 {
 		t.Errorf("steady-state 15-lane RunBatch allocates %d B, want <= 16 KiB (the result slice)", again)
+	}
+}
+
+// TestRunsDoNotRetainTheTrace pins that the derived per-trace state —
+// decode, predictor walk, consumer index — dies with its trace: after
+// RunWith and a mixed in-order/out-of-order RunBatch on a trace, with
+// both scratches still held for reuse, dropping the trace lets the
+// collector free its instructions.
+func TestRunsDoNotRetainTheTrace(t *testing.T) {
+	s, bs := NewScratch(), NewBatchScratch()
+	freed := make(chan struct{})
+	func() {
+		prof, _ := trace.ByName("176.gcc")
+		tr := prof.Generate(10000, 4242)
+		runtime.SetFinalizer(&tr.Insts[0], func(*trace.Inst) { close(freed) })
+		m := config.InOrder7Stage()
+		inorder := Params{Machine: m, Timing: m.Resolve(fo4.Clock{Useful: 8, Overhead: fo4.PaperOverhead})}
+		RunWith(paramsAt(6), tr, s)
+		RunBatch([]Params{paramsAt(6), inorder, paramsAt(8)}, tr, bs.Lanes(3))
+	}()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(s)
+			runtime.KeepAlive(bs)
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("trace still reachable 5 s after its last run: simulation state retains it")
+		}
 	}
 }
 

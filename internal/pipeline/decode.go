@@ -1,8 +1,6 @@
 package pipeline
 
 import (
-	"sync"
-
 	"repro/internal/branch"
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -26,58 +24,54 @@ const (
 // producers, data addresses, and — crucially — the tournament predictor's
 // per-branch verdicts. The predictor sees branches in trace order in both
 // cores regardless of timing, and Params never alters its tables, so its
-// guess stream is a pure function of the trace: one training walk here
-// replaces one per simulated grid cell. (PerfectBranches machines override
-// the guess after the tables update, so they consume the same decode and
-// just ignore dMispredict.)
+// guess stream is a pure function of the trace: one training walk per call
+// replaces one per lane. (PerfectBranches machines override the guess
+// after the tables update, so they consume the same decode and just
+// ignore dMispredict.)
+//
+// A decode is per-call state held in a Scratch: RunWith builds it into
+// its own Scratch, RunBatch builds it once into its first lane's and hands
+// it to every lane. It holds no pointer into the trace, so a Scratch kept
+// for reuse never keeps a trace alive.
 type traceDecode struct {
 	flags []uint8
 	class []isa.Class
 	src1  []int32
 	src2  []int32
 	addr  []uint64
+
+	// consumers is the trace's reverse dependence index, which only the
+	// out-of-order core reads; nil when the decode was built for in-order
+	// lanes alone. It points at csr, the index's reusable storage.
+	consumers *trace.ConsumerIndex
+	csr       trace.ConsumerIndex
+
+	pred branch.Tournament // the training walk's predictor, Reset per build
 }
 
-// decodeCacheKey identifies an instruction stream by identity, like
-// trace.ConsumerIndexOf's key: WithPrefetchCoverage clones share Insts
-// with their parent, and one decode serves every clone.
-type decodeCacheKey struct {
-	first *trace.Inst
-	n     int
-}
-
-// decodeCache holds every trace decode built so far, process-wide. Traces
-// are immutable once generated, so the decode is immutable too and one
-// build serves every study, worker, lane and clock point.
-var decodeCache sync.Map // decodeCacheKey → *traceDecode
-
-// decodeOf returns the trace's decode, building and caching it on first
-// use. The result is shared and read-only; concurrent callers may race to
-// build it, but construction is a pure function of the trace so either
-// result is identical and LoadOrStore picks a canonical one.
-func decodeOf(tr *trace.Trace) *traceDecode {
+// decode rebuilds the scratch's decode from tr — with the consumer index
+// when withConsumers is set — reusing the storage of earlier builds, and
+// returns it. The result is valid until the scratch's next decode.
+func (s *Scratch) decode(tr *trace.Trace, withConsumers bool) *traceDecode {
+	d := &s.dec
 	insts := tr.Insts
-	if len(insts) == 0 {
-		panic("pipeline: empty trace")
-	}
-	key := decodeCacheKey{first: &insts[0], n: len(insts)}
-	if v, ok := decodeCache.Load(key); ok {
-		return v.(*traceDecode)
-	}
-	v, _ := decodeCache.LoadOrStore(key, buildDecode(insts))
-	return v.(*traceDecode)
-}
-
-func buildDecode(insts []trace.Inst) *traceDecode {
 	n := len(insts)
-	d := &traceDecode{
-		flags: make([]uint8, n),
-		class: make([]isa.Class, n),
-		src1:  make([]int32, n),
-		src2:  make([]int32, n),
-		addr:  make([]uint64, n),
+	if cap(d.flags) < n {
+		d.flags = make([]uint8, n)
+		d.class = make([]isa.Class, n)
+		d.src1 = make([]int32, n)
+		d.src2 = make([]int32, n)
+		d.addr = make([]uint64, n)
 	}
-	pred := branch.New()
+	d.flags, d.class, d.src1, d.src2, d.addr = d.flags[:n], d.class[:n], d.src1[:n], d.src2[:n], d.addr[:n]
+	d.consumers = nil
+	if withConsumers {
+		d.csr.Build(insts)
+		d.consumers = &d.csr
+	}
+
+	pred := &d.pred
+	pred.Reset()
 	for i := range insts {
 		in := &insts[i]
 		d.class[i] = in.Class

@@ -12,7 +12,7 @@ import (
 // a timestamp recurrence: each instruction issues at the earliest cycle
 // that satisfies program order, issue bandwidth, operand readiness (with
 // full bypass), and fetch delivery — no issue window exists.
-func runInOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy) Stats {
+func runInOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, warm *mem.Hierarchy) Stats {
 	m := p.Machine
 	tmg := p.Timing
 	n := len(tr.Insts)
@@ -21,7 +21,6 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy) St
 	}
 
 	// Shared depth-invariant decode; see runOutOfOrder.
-	dec := decodeOf(tr)
 	flags, class := dec.flags, dec.class
 	src1s, src2s, addrs := dec.src1, dec.src2, dec.addr
 

@@ -26,7 +26,7 @@
 //
 // The simulated machine broadcasts a completing tag to every window entry
 // each issue; the simulator itself does not. It walks the trace's consumer
-// index (see trace.ConsumerIndexOf) and wakes exactly the issuing
+// index (see trace.ConsumerIndex) and wakes exactly the issuing
 // instruction's resident consumers, at the same segment-resolved cycle the
 // broadcast would have delivered — event-driven simulation of a
 // broadcast-structured machine, with Stats counters (WakeupWakes vs.
@@ -151,23 +151,27 @@ func Run(p Params, tr *trace.Trace) Stats {
 // must not be shared by concurrent calls. A nil scratch is allowed and
 // simulates on fresh state.
 func RunWith(p Params, tr *trace.Trace, s *Scratch) Stats {
-	return runWith(p, tr, s, nil)
+	if s == nil {
+		s = NewScratch()
+	}
+	return runWith(p, tr, s, s.decode(tr, !p.Machine.InOrder), nil)
 }
 
-// runWith is RunWith with the batch runner's extra input: warm, when
-// non-nil, is a prewarmed memory-hierarchy template of the machine's
-// geometry whose state is copied instead of re-walking the working set.
-// A nil warm reproduces RunWith exactly; a correct template makes the
-// two paths bit-identical (the template state is a pure function of
-// geometry and trace — see RunBatch).
-func runWith(p Params, tr *trace.Trace, s *Scratch, warm *mem.Hierarchy) Stats {
+// runWith is one lane of RunWith or RunBatch: dec is the trace's decode,
+// built by the caller (with its consumer index for an out-of-order lane),
+// and warm, when non-nil, is a prewarmed memory-hierarchy template of the
+// machine's geometry whose state is copied instead of re-walking the
+// working set. A nil warm reproduces RunWith exactly; a correct template
+// makes the two paths bit-identical (the template state is a pure
+// function of geometry and trace — see RunBatch).
+func runWith(p Params, tr *trace.Trace, s *Scratch, dec *traceDecode, warm *mem.Hierarchy) Stats {
 	if s == nil {
 		s = NewScratch()
 	}
 	if p.Machine.InOrder {
-		return runInOrder(p, tr, s, warm)
+		return runInOrder(p, tr, s, dec, warm)
 	}
-	return runOutOfOrder(p, tr, s, warm)
+	return runOutOfOrder(p, tr, s, dec, warm)
 }
 
 const pending = math.MaxInt64
@@ -185,7 +189,7 @@ type winEntry struct {
 	preSelected bool  // latched by a pre-selection block (Figure 12)
 }
 
-func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy) Stats {
+func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, warm *mem.Hierarchy) Stats {
 	m := p.Machine
 	tmg := p.Timing
 	n := len(tr.Insts)
@@ -199,9 +203,8 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy)
 
 	// The depth-invariant decode: class flags, operand producers, data
 	// addresses and the predictor's per-branch verdicts, built once per
-	// trace and cached process-wide (see traceDecode). The cycle loops
-	// below never touch tr.Insts again.
-	dec := decodeOf(tr)
+	// call (see traceDecode). The cycle loops below never touch tr.Insts
+	// again.
 	flags, class := dec.flags, dec.class
 	src1s, src2s, addrs := dec.src1, dec.src2, dec.addr
 
@@ -219,10 +222,10 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, warm *mem.Hierarchy)
 	qpair := [2]*issueQueue{intQ, fpQ}
 
 	// The reverse dependence adjacency: who consumes each instruction's
-	// result. Built once per trace and cached process-wide, it lets issue
-	// wake a producer's actual consumers directly instead of re-scanning
-	// every window entry per issued instruction.
-	consumers := tr.ConsumerIndexOf()
+	// result. Built with the decode, it lets issue wake a producer's
+	// actual consumers directly instead of re-scanning every window entry
+	// per issued instruction.
+	consumers := dec.consumers
 
 	hier := scr.hierarchyFor(m, tr, warm)
 	var lat latEnv

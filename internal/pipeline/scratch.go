@@ -23,8 +23,13 @@ import (
 // serving scheduler keep one BatchScratch per running task, borrowed
 // from internal/core's idle list and reused across calls; plain Run
 // borrows one from a package pool. Traces stay immutable throughout: a
-// Scratch only ever holds simulator-private state, never trace data.
+// Scratch holds simulator-private state and the decode derived from the
+// call's trace, never a reference to the trace itself.
 type Scratch struct {
+	// dec is the depth-invariant decode (and consumer index) of the
+	// current call's trace, rebuilt by each RunWith or RunBatch call.
+	dec traceDecode
+
 	// Per-instruction arenas, sized to the trace on each run. The data
 	// (consumer-visible, post-bypass) and complete (executed) timestamps
 	// are paired in one struct because dispatch resolves both for the same
@@ -151,40 +156,29 @@ func hierKeyFor(m config.Machine) hierKey {
 	}
 }
 
-// hierarchy returns a memory hierarchy for machine m, reusing the cached
-// one when the cache geometry matches (Reset restores the built state
-// exactly) and rebuilding it otherwise.
-func (s *Scratch) hierarchy(m config.Machine) *mem.Hierarchy {
-	key := hierKeyFor(m)
-	if s.hier != nil && key == s.hierKey {
-		s.hier.Reset()
-		return s.hier
-	}
-	s.hier = newHierarchy(m)
-	s.hierKey = key
-	return s.hier
-}
-
 // hierarchyFor puts the scratch's hierarchy in start-of-run state for
-// machine m: reset and prewarmed from the trace's working set, or — when
+// machine m, reusing it when the cache geometry matches and rebuilding it
+// otherwise: reset and prewarmed from the trace's working set, or — when
 // a batch supplies a prewarmed template of the same geometry — copied
 // from the template, skipping the per-lane reset and prewarm walks. The
-// two paths produce bit-identical state (the template is itself reset
-// and prewarmed from the same trace; see RunBatch).
+// two paths produce bit-identical state (Reset restores the built state
+// exactly, and the template is itself reset and prewarmed from the same
+// trace; see RunBatch).
 func (s *Scratch) hierarchyFor(m config.Machine, tr *trace.Trace, warm *mem.Hierarchy) *mem.Hierarchy {
-	if warm != nil {
-		key := hierKeyFor(m)
-		if s.hier == nil || key != s.hierKey {
-			s.hier = newHierarchy(m)
-			s.hierKey = key
-		}
-		s.hier.CopyStateFrom(warm)
-		return s.hier
+	key := hierKeyFor(m)
+	switch {
+	case s.hier == nil || key != s.hierKey:
+		s.hier, s.hierKey = newHierarchy(m), key
+	case warm == nil:
+		s.hier.Reset()
 	}
-	h := s.hierarchy(m)
-	h.Coverage = tr.PrefetchCoverage
-	h.Prewarm(tr.HotBytes, tr.WarmBytes)
-	return h
+	if warm != nil {
+		s.hier.CopyStateFrom(warm)
+	} else {
+		s.hier.Coverage = tr.PrefetchCoverage
+		s.hier.Prewarm(tr.HotBytes, tr.WarmBytes)
+	}
+	return s.hier
 }
 
 // warmTemplate returns the scratch's batch prewarm template for machine
@@ -192,11 +186,10 @@ func (s *Scratch) hierarchyFor(m config.Machine, tr *trace.Trace, warm *mem.Hier
 func (s *Scratch) warmTemplate(m config.Machine) *mem.Hierarchy {
 	key := hierKeyFor(m)
 	if s.warmTmpl == nil || key != s.warmTmplKey {
-		s.warmTmpl = newHierarchy(m)
-		s.warmTmplKey = key
-		return s.warmTmpl
+		s.warmTmpl, s.warmTmplKey = newHierarchy(m), key
+	} else {
+		s.warmTmpl.Reset()
 	}
-	s.warmTmpl.Reset()
 	return s.warmTmpl
 }
 

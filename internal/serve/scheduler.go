@@ -96,7 +96,7 @@ type scheduler struct {
 	mu       sync.Mutex
 	queue    []*job
 	inflight map[string]*job // queued or running jobs by key
-	running  int             // jobs in the currently dispatched batch
+	running  int             // dispatched jobs not yet finalized, requeued or dropped
 	closing  bool
 
 	wake    chan struct{} // buffered(1): queued work is waiting
@@ -277,11 +277,11 @@ func (s *scheduler) runBatch(batch []*job) {
 	s.runGrouped(batch)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.running -= len(batch)
 	for _, j := range batch {
 		if j.ran {
-			continue
+			continue // finalize already retired it from running
 		}
+		s.running--
 		if j.waiters.Load() > 0 {
 			// A new request attached while the batch was skipping it:
 			// put it back in line rather than failing the newcomer (the
@@ -408,10 +408,14 @@ func (s *scheduler) finishJob(j *job, res core.BenchPoint, err error) {
 
 // finalize publishes one completed job: result stored (on success — a
 // durable store also appends it to the segment log here, write-through),
-// registry entry retired, waiters woken. The store write happens under
-// mu so admission's classify-then-enqueue stays atomic against it.
+// registry entry retired, running count decremented, waiters woken. The
+// store write happens under mu so admission's classify-then-enqueue stays
+// atomic against it, and running drops before done closes, so a stream
+// that has read its last line never sees its point still counted as
+// running.
 func (s *scheduler) finalize(j *job, line []byte) {
 	s.mu.Lock()
+	s.running--
 	if line != nil {
 		j.line = line
 		s.cache.Put(j.key, line)

@@ -1,7 +1,5 @@
 package trace
 
-import "sync"
-
 // ConsumerIndex is the reverse dependence adjacency of a trace in
 // compressed-sparse-row form: the consumers of instruction i are
 // Edges[Offsets[i]:Offsets[i+1]], in program order. An instruction with
@@ -23,44 +21,33 @@ func (ci *ConsumerIndex) Consumers(i int32) []int32 {
 	return ci.Edges[ci.Offsets[i]:ci.Offsets[i+1]]
 }
 
-// consumerCacheKey identifies an instruction stream by identity rather
-// than by Trace pointer: WithPrefetchCoverage clones share Insts with
-// their parent, and one index serves every clone.
-type consumerCacheKey struct {
-	first *Inst
-	n     int
-}
-
-// consumerCache holds every consumer index built so far, process-wide,
-// exactly like internal/core's trace cache: traces are immutable once
-// generated, so the index is immutable too and one build serves every
-// study, worker and clock point.
-var consumerCache sync.Map // consumerCacheKey → *ConsumerIndex
-
-// ConsumerIndexOf returns the trace's consumer index, building and
-// caching it on first use. The returned index is shared and must be
-// treated as read-only; concurrent callers may race to build it, but the
-// construction is a pure function of the trace so either result is
-// identical and LoadOrStore picks a canonical one.
+// ConsumerIndexOf builds the trace's consumer index. Every call is a
+// fresh build; callers that build repeatedly reuse storage with Build.
 func (t *Trace) ConsumerIndexOf() *ConsumerIndex {
-	if len(t.Insts) == 0 {
-		return &ConsumerIndex{Offsets: make([]int32, 1)}
-	}
-	key := consumerCacheKey{first: &t.Insts[0], n: len(t.Insts)}
-	if v, ok := consumerCache.Load(key); ok {
-		return v.(*ConsumerIndex)
-	}
-	v, _ := consumerCache.LoadOrStore(key, buildConsumerIndex(t.Insts))
-	return v.(*ConsumerIndex)
+	ci := &ConsumerIndex{}
+	ci.Build(t.Insts)
+	return ci
 }
 
-// buildConsumerIndex builds the CSR adjacency in two passes: count the
-// out-degree of every producer, prefix-sum into row offsets, then fill.
-// Dependencies always point backwards (see Inst), so the result is a DAG
-// adjacency whose edge lists are sorted by consumer index.
-func buildConsumerIndex(insts []Inst) *ConsumerIndex {
+// Build fills ci with the consumer index of insts, reusing ci's storage:
+// count the out-degree of every producer into the row offsets, prefix-sum
+// them into row starts, then fill each row through its start, which
+// leaves every offset at its row's end, and shift the offsets back by
+// one row. Dependencies always point backwards (see Inst), so the result
+// is a DAG adjacency whose edge lists are sorted by consumer index.
+// Edges is sized for the 2·len(insts) edges an instruction stream of that
+// length can have at most, so rebuilding for any trace no longer than the
+// longest one built so far allocates nothing.
+func (ci *ConsumerIndex) Build(insts []Inst) {
 	n := len(insts)
-	offsets := make([]int32, n+1)
+	if cap(ci.Offsets) < n+1 {
+		ci.Offsets = make([]int32, n+1)
+	}
+	if cap(ci.Edges) < 2*n {
+		ci.Edges = make([]int32, 2*n)
+	}
+	offsets := ci.Offsets[:n+1]
+	clear(offsets)
 	for i := range insts {
 		if s := insts[i].Src1; s >= 0 {
 			offsets[s+1]++
@@ -72,18 +59,18 @@ func buildConsumerIndex(insts []Inst) *ConsumerIndex {
 	for i := 0; i < n; i++ {
 		offsets[i+1] += offsets[i]
 	}
-	edges := make([]int32, offsets[n])
-	next := make([]int32, n)
-	copy(next, offsets[:n])
+	edges := ci.Edges[:offsets[n]]
 	for i := range insts {
 		if s := insts[i].Src1; s >= 0 {
-			edges[next[s]] = int32(i)
-			next[s]++
+			edges[offsets[s]] = int32(i)
+			offsets[s]++
 		}
 		if s := insts[i].Src2; s >= 0 {
-			edges[next[s]] = int32(i)
-			next[s]++
+			edges[offsets[s]] = int32(i)
+			offsets[s]++
 		}
 	}
-	return &ConsumerIndex{Offsets: offsets, Edges: edges}
+	copy(offsets[1:], offsets[:n])
+	offsets[0] = 0
+	ci.Offsets, ci.Edges = offsets, edges
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -71,16 +72,22 @@ func TestConsumerIndexDoubleEdgeForSharedProducer(t *testing.T) {
 	}
 }
 
-func TestConsumerIndexCachedAcrossClones(t *testing.T) {
-	p, _ := ByName("171.swim")
-	tr := p.Generate(5000, 7)
-	clone := tr.WithPrefetchCoverage(0.5)
-	a, b := tr.ConsumerIndexOf(), clone.ConsumerIndexOf()
-	if a != b {
-		t.Fatalf("clone sharing Insts got a distinct consumer index")
+// TestConsumerIndexBuildReusesStorage pins Build's reuse: an index built
+// over the storage a longer trace left behind — stale offsets and edges
+// included — equals a fresh build, and allocates nothing.
+func TestConsumerIndexBuildReusesStorage(t *testing.T) {
+	gcc, _ := ByName("176.gcc")
+	swim, _ := ByName("171.swim")
+	long, short := gcc.Generate(20000, 3), swim.Generate(5000, 7)
+
+	var ci ConsumerIndex
+	ci.Build(long.Insts)
+	if allocs := testing.AllocsPerRun(3, func() { ci.Build(short.Insts) }); allocs != 0 {
+		t.Errorf("rebuild over longer storage allocates %.1f objects, want 0", allocs)
 	}
-	if c := tr.ConsumerIndexOf(); c != a {
-		t.Fatalf("second lookup rebuilt the index")
+	if fresh := short.ConsumerIndexOf(); !reflect.DeepEqual(ci, *fresh) {
+		t.Fatalf("reused index differs from a fresh build: %d/%d offsets, %d/%d edges",
+			len(ci.Offsets), len(fresh.Offsets), len(ci.Edges), len(fresh.Edges))
 	}
 }
 
