@@ -24,6 +24,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"os"
@@ -338,17 +339,34 @@ func (w *world) recordHistory(g grid) {
 	w.history = append(w.history, g)
 }
 
-// quiesce waits until the daemon's queue has fully drained and the
-// admission conservation laws have settled, then returns the settled
-// stats. This is the cheap half of the oracle, run after every action:
+// quiesce waits until no other HTTP handler is running, the daemon's
+// queue has fully drained and the admission conservation laws have
+// settled, then returns the settled stats. This is the cheap half of the
+// oracle, run after every action:
 //
+//	http inflight == 1              (only the scrape itself: every torn
+//	                                 stream's handler has recorded its
+//	                                 disconnect and returned)
 //	inflight == queue == 0          (nothing leaked, disconnects included)
 //	hits + misses == admitted        (every admitted point classified once)
 //	misses == points_done + dropped  (every miss became exactly one outcome)
+//
+// The handler check comes first: with no handler left to move a counter,
+// the /stats read after it is the state a later scrape must agree with.
 func (w *world) quiesce() daemonStats {
 	w.t.Helper()
-	var st daemonStats
+	var (
+		st       daemonStats
+		handlers float64
+	)
 	ok := clitest.WaitUntil(chaosWait, func() bool {
+		exposition, err := w.tryScrape()
+		if err != nil {
+			return false
+		}
+		if handlers, _ = sampleValue(exposition, "sweep_http_requests_inflight"); handlers != 1 {
+			return false
+		}
 		s, err := w.tryStats()
 		if err != nil {
 			return false
@@ -359,8 +377,9 @@ func (w *world) quiesce() daemonStats {
 			st.CacheMisses == st.PointsDone+st.PointsDropped
 	})
 	if !ok {
-		w.failf("daemon never quiesced into a conserving state: stats=%+v admitted=%d\n"+
-			"  want inflight=0 queue=0, hits+misses==admitted, misses==done+dropped", st, w.admitted)
+		w.failf("daemon never quiesced into a conserving state: http handlers=%v stats=%+v admitted=%d\n"+
+			"  want 1 handler (the scrape), inflight=0 queue=0, hits+misses==admitted, misses==done+dropped",
+			handlers, st, w.admitted)
 	}
 	if st.CacheSize > w.cacheLimit {
 		w.failf("cache_size %d exceeds -cache %d: LRU bound broken", st.CacheSize, w.cacheLimit)
@@ -373,25 +392,13 @@ func (w *world) quiesce() daemonStats {
 // cannot legitimately differ.
 func (w *world) metricsAgree(st daemonStats) {
 	w.t.Helper()
-	resp, err := w.client.Get(w.d.URL + "/metrics")
+	exposition, err := w.tryScrape()
 	if err != nil {
 		w.failf("GET /metrics: %v", err)
 	}
-	raw := make([]byte, 0, 1<<16)
-	buf := bufio.NewScanner(resp.Body)
-	buf.Buffer(make([]byte, 1<<20), 1<<20)
-	for buf.Scan() {
-		raw = append(raw, buf.Bytes()...)
-		raw = append(raw, '\n')
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		w.failf("GET /metrics: status %d", resp.StatusCode)
-	}
-	if err := promtext.Lint(raw); err != nil {
+	if err := promtext.Lint([]byte(exposition)); err != nil {
 		w.failf("/metrics exposition malformed: %v", err)
 	}
-	exposition := string(raw)
 	for _, pair := range []struct {
 		sample string
 		want   int64
@@ -415,6 +422,23 @@ func (w *world) metricsAgree(st daemonStats) {
 			w.failf("surface disagreement: /metrics %s = %v but /stats says %d", pair.sample, got, pair.want)
 		}
 	}
+}
+
+// tryScrape GETs /metrics and returns the exposition.
+func (w *world) tryScrape() (string, error) {
+	resp, err := w.client.Get(w.d.URL + "/metrics")
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return "", err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return "", fmt.Errorf("status %d", resp.StatusCode)
+	}
+	return string(raw), nil
 }
 
 // sampleValue extracts one sample's value from a text exposition; the

@@ -4,13 +4,17 @@ package core
 // funnels its simulations through it. A study describes its grid —
 // (clock point × benchmark) for the BIPS sweeps, (variant × benchmark)
 // for the fixed-clock IPC studies — and the engine executes the whole
-// grid on one deterministic worker pool (internal/exec), generating each
-// benchmark trace at most once per process and sharing it read-only
-// across workers. Aggregation always happens serially in benchmark
-// order, so results are bit-for-bit identical at any worker count.
+// grid on one deterministic worker pool (internal/exec), taking each
+// benchmark trace from a process-wide cache bounded by bytes (so a trace
+// is generated once for as long as it stays cached) and sharing it
+// read-only across workers. Aggregation always happens serially in
+// benchmark order, so results are bit-for-bit identical at any worker
+// count.
 
 import (
+	"container/list"
 	"sync"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/exec"
@@ -142,30 +146,99 @@ type traceKey struct {
 	seed         uint64
 }
 
-// traceCache holds every trace generated so far, process-wide. The
-// simulators never mutate a trace (see the contract in internal/trace),
-// so one generation serves every study, worker and clock point that asks
-// for the same (profile, instructions, seed). It is the only process-wide
-// per-trace store: the decode and consumer index derived from a trace are
-// per-call state in the pipeline Scratch, so bounding this cache bounds
-// all per-trace memory.
-var traceCache sync.Map // traceKey → *trace.Trace
+// traceCacheBytes is the trace cache's budget: the instruction bytes,
+// cap(Insts)×Sizeof(Inst), it keeps resident. It is sized so that
+//
+//   - the largest suite in-repo callers re-read, experiments.Full (18
+//     benchmarks × 120 000 instructions), fits: 51.8 MB at 24 B per
+//     Inst. At the 32 B an unpacked Inst took it would be 69 MB, so the
+//     packing is what lets a 64 MiB cache hold it;
+//   - at sweepd's 1 000 000-instruction cap one trace is 24 MB, so the
+//     cache holds two.
+//
+// An evicted trace stays alive only while a running call still holds it.
+const traceCacheBytes = 64 << 20
+
+// traceCache holds the most recently used traces, process-wide, up to
+// traceCacheBytes. The simulators never mutate a trace (see the contract
+// in internal/trace), so one generation serves every study, worker and
+// clock point that asks for the same (profile, instructions, seed) while
+// it stays cached. It is the only process-wide per-trace store: the
+// decode and consumer index derived from a trace are per-call state in
+// the pipeline Scratch, so this budget bounds all per-trace memory.
+var traceCache = traceLRU{byKey: map[traceKey]*list.Element{}}
+
+// traceLRU is a least-recently-used set of traces bounded by the bytes of
+// their instructions.
+type traceLRU struct {
+	mu    sync.Mutex
+	lru   list.List // of *traceEntry, most recently used at the front
+	byKey map[traceKey]*list.Element
+	bytes int64 // sum of the entries' bytes
+}
+
+// traceEntry is one cached trace and the bytes it is charged.
+type traceEntry struct {
+	key   traceKey
+	tr    *trace.Trace
+	bytes int64
+}
+
+// get returns the cached trace for key, marking it most recently used,
+// or nil.
+func (c *traceLRU) get(key traceKey) *trace.Trace {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.byKey[key]
+	if !ok {
+		return nil
+	}
+	c.lru.MoveToFront(e)
+	return e.Value.(*traceEntry).tr
+}
+
+// put caches tr under key unless a racing caller already did, and
+// returns the canonical trace and the number of entries evicted. It
+// evicts from the cold end until the cache is within budget, but never
+// the entry just inserted, so a trace larger than the whole budget is
+// still cached, alone.
+func (c *traceLRU) put(key traceKey, tr *trace.Trace) (*trace.Trace, int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if e, ok := c.byKey[key]; ok {
+		c.lru.MoveToFront(e)
+		return e.Value.(*traceEntry).tr, 0
+	}
+	ent := &traceEntry{key: key, tr: tr, bytes: int64(cap(tr.Insts)) * int64(unsafe.Sizeof(trace.Inst{}))}
+	c.byKey[key] = c.lru.PushFront(ent)
+	c.bytes += ent.bytes
+	var evicted int64
+	for c.bytes > traceCacheBytes && c.lru.Len() > 1 {
+		old := c.lru.Remove(c.lru.Back()).(*traceEntry)
+		delete(c.byKey, old.key)
+		c.bytes -= old.bytes
+		evicted++
+	}
+	return tr, evicted
+}
 
 // cachedTrace returns the (profile, instructions, seed) trace, generating
-// and caching it process-wide on a miss. rec counts hits and misses.
-// Two callers may race to generate the same trace; Generate is
-// deterministic, so either result is identical and LoadOrStore just
-// picks a canonical pointer. Either racer counts a miss: the generation
-// work really happened twice.
+// and caching it on a miss. rec counts hits, misses and the evictions a
+// miss causes. Generation runs outside the cache's lock, so two callers
+// may race to generate the same trace; Generate is deterministic, so
+// either result is identical and put keeps the first one stored as the
+// canonical pointer. Either racer counts a miss: the generation work
+// really happened twice.
 func cachedTrace(p trace.Profile, instructions int, seed uint64, rec *obs.Recorder) *trace.Trace {
 	key := traceKey{profile: p, instructions: instructions, seed: seed}
-	if v, ok := traceCache.Load(key); ok {
+	if tr := traceCache.get(key); tr != nil {
 		rec.Add("trace_cache_hits", 1)
-		return v.(*trace.Trace)
+		return tr
 	}
 	rec.Add("trace_cache_misses", 1)
-	v, _ := traceCache.LoadOrStore(key, p.Generate(instructions, seed))
-	return v.(*trace.Trace)
+	tr, evicted := traceCache.put(key, p.Generate(instructions, seed))
+	rec.Add("trace_cache_evictions", evicted)
+	return tr
 }
 
 // traces returns the benchmark traces for this sweep, generating missing

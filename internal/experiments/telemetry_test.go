@@ -76,6 +76,9 @@ func TestTraceCacheTelemetry(t *testing.T) {
 	if snap.Counters["trace_cache_hits"] == 0 {
 		t.Error("no trace-cache hits recorded across two studies sharing the suite")
 	}
+	if _, ok := snap.Counters["trace_cache_evictions"]; !ok {
+		t.Error("trace_cache_evictions missing from the counters; every miss reports the evictions it caused")
+	}
 	if snap.Counters["simulations"] == 0 {
 		t.Error("no simulations counted")
 	}

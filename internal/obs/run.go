@@ -158,7 +158,8 @@ func (r *Run) Close() error {
 	r.Log.Info("run done", "command", r.Command, "wall", wall,
 		"tasks", snap.Tasks.Count, "studies", len(snap.Studies),
 		"trace_cache_hits", snap.Counters["trace_cache_hits"],
-		"trace_cache_misses", snap.Counters["trace_cache_misses"])
+		"trace_cache_misses", snap.Counters["trace_cache_misses"],
+		"trace_cache_evictions", snap.Counters["trace_cache_evictions"])
 	if r.opts.Manifest != "" {
 		m := NewManifest(r.Command, r.config, wall, snap)
 		if err := WriteManifest(r.opts.Manifest, m); err != nil && first == nil {

@@ -8,7 +8,7 @@ import (
 
 // Per-instruction decode flags. One byte per instruction carries
 // everything the cycle loops branch on, so the hot paths test a bit
-// instead of loading a 32-byte trace.Inst and re-deriving class
+// instead of loading a 24-byte trace.Inst and re-deriving class
 // predicates per lane.
 const (
 	dFP         uint8 = 1 << iota // executes on the floating-point cluster

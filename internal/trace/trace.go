@@ -51,18 +51,21 @@ func (g Group) String() string {
 // randomized map iteration (the mapiter lint rule enforces that).
 func Groups() []Group { return []Group{Integer, VectorFP, NonVectorFP} }
 
-// Inst is one dynamic instruction.
+// Inst is one dynamic instruction. Its fields are ordered widest first
+// so its 22 B of fields pad only to 24 B: the trace cache in
+// internal/core is sized on 24 B per instruction, and TestInstIs24Bytes
+// pins the layout.
 type Inst struct {
-	Class isa.Class
+	// Addr is the effective address for loads and stores.
+	Addr uint64
 	// Src1 and Src2 are the trace indices of the producing instructions,
 	// or -1 when the operand is ready from the start (an old value or an
 	// immediate). Dependencies always point backwards.
 	Src1, Src2 int32
-	// Addr is the effective address for loads and stores.
-	Addr uint64
 	// PC identifies the branch site for the predictor; meaningful only for
 	// branches.
-	PC uint32
+	PC    uint32
+	Class isa.Class
 	// Taken is the branch outcome.
 	Taken bool
 }
@@ -299,7 +302,9 @@ func (p Profile) Generate(n int, seed uint64) *Trace {
 		streams[i] = (r.Uint64() % max64(1, p.FootprintBytes)) &^ 7
 	}
 
-	recentLoads := make([]int32, 0, 8)
+	// recentLoads is a window of the last eight loads, shifted in place
+	// so appends never outgrow its backing array.
+	recentLoads := make([]int32, 0, 9)
 	stride := p.StrideBytes
 	if stride == 0 {
 		stride = 8
@@ -372,7 +377,8 @@ func (p Profile) Generate(n int, seed uint64) *Trace {
 			if cl == isa.Load {
 				recentLoads = append(recentLoads, int32(i))
 				if len(recentLoads) > 8 {
-					recentLoads = recentLoads[1:]
+					copy(recentLoads, recentLoads[1:])
+					recentLoads = recentLoads[:8]
 				}
 			}
 		case cl == isa.Branch:

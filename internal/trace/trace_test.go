@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/isa"
 )
@@ -198,4 +200,34 @@ func TestGeneratePanicsOnBadInput(t *testing.T) {
 		}
 	}()
 	p.Generate(0, 1)
+}
+
+// TestInstIs24Bytes pins Inst's packed layout: a field that re-pads the
+// struct grows every trace by a third and overruns the trace cache's
+// sizing in internal/core.
+func TestInstIs24Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 24 {
+		t.Fatalf("unsafe.Sizeof(Inst{}) = %d, want 24", got)
+	}
+}
+
+// TestGenerateAllocatesOnlyTheTrace pins Generate's allocation to the
+// instruction array plus fixed per-profile state. The slack covers the
+// array's page rounding (< 8 KiB) and the branch-site and stream tables
+// (< 12 KiB at 192 sites); a load window that reallocates as it slides
+// costs about 45 KB more at this length. Allocated bytes are a count,
+// not a timing, so the verdict does not depend on the machine.
+func TestGenerateAllocatesOnlyTheTrace(t *testing.T) {
+	const n, slack = 20000, 24 << 10
+	bound := uint64(n)*uint64(unsafe.Sizeof(Inst{})) + slack
+	for _, p := range SPEC2000() {
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		before := m.TotalAlloc
+		p.Generate(n, 1)
+		runtime.ReadMemStats(&m)
+		if got := m.TotalAlloc - before; got > bound {
+			t.Errorf("%s: Generate(%d) allocated %d B, want <= %d (n x Sizeof(Inst) + %d)", p.Name, n, got, bound, slack)
+		}
+	}
 }
