@@ -103,11 +103,11 @@ func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) [
 // ever active at once — at most one per executor worker running
 // simulations concurrently. An entry keeps one 2 MiB-L2 lane hierarchy
 // and one prewarm template (~0.5 MiB each) plus, per instruction of the
-// longest trace it ran, 28 B of timing arenas and 30 B of decode and
-// consumer-index arenas: ~2.2 MB at 20 000 instructions, ~59 MB at
-// sweepd's 1 000 000-instruction cap. The decode arenas are rebuilt by
-// every call and hold no reference to a trace, so an entry never keeps
-// a trace alive. Entries are never freed, so a process keeps the state
+// longest trace it ran, 28 B of timing arenas and about 13 B of decode
+// flags and consumer index: ~1.9 MB at 20 000 instructions, ~42 MB at
+// sweepd's 1 000 000-instruction cap. The lanes read the instructions
+// themselves from the trace; the decode is rebuilt by every call and
+// holds no reference to a trace, so an entry never keeps a trace alive. Entries are never freed, so a process keeps the state
 // of its busiest moment.
 var idleScratch struct {
 	mu   sync.Mutex

@@ -12,7 +12,7 @@ package obs
 
 import (
 	"log/slog"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -28,8 +28,8 @@ type Recorder struct {
 	counters    map[string]int64
 	studies     []*study
 	open        []*study // stack: the innermost study collects task durations
-	tasks       []time.Duration
-	queueWaits  []time.Duration
+	tasks       durations
+	queueWaits  durations
 	workerTasks map[int]int64
 }
 
@@ -40,7 +40,7 @@ type study struct {
 	start time.Time
 	wall  time.Duration
 	done  bool
-	tasks []time.Duration
+	tasks durations
 }
 
 // New returns an empty recorder; log may be nil for silent recording.
@@ -93,7 +93,7 @@ func (r *Recorder) Study(name string) func() {
 				break
 			}
 		}
-		wall, n := s.wall, len(s.tasks)
+		wall, n := s.wall, s.tasks.count
 		r.mu.Unlock()
 		if r.log != nil {
 			r.log.Debug("study done", "study", name, "wall", wall, "tasks", n)
@@ -122,7 +122,7 @@ func (r *Recorder) TaskStart(worker, index int, queueWait time.Duration) {
 		return
 	}
 	r.mu.Lock()
-	r.queueWaits = append(r.queueWaits, queueWait)
+	r.queueWaits.add(queueWait)
 	r.mu.Unlock()
 }
 
@@ -133,11 +133,10 @@ func (r *Recorder) TaskDone(worker, index int, d time.Duration) {
 		return
 	}
 	r.mu.Lock()
-	r.tasks = append(r.tasks, d)
+	r.tasks.add(d)
 	r.workerTasks[worker]++
 	if n := len(r.open); n > 0 {
-		s := r.open[n-1]
-		s.tasks = append(s.tasks, d)
+		r.open[n-1].tasks.add(d)
 	}
 	r.mu.Unlock()
 }
@@ -151,23 +150,50 @@ type DurationStats struct {
 	TotalMS float64 `json:"total_ms"`
 }
 
-func summarize(ds []time.Duration) DurationStats {
-	if len(ds) == 0 {
+// recentSamples is the length of a durations ring: the median is taken
+// over at most this many of the latest samples.
+const recentSamples = 1024
+
+// durations is a fixed-size summary of a duration stream, so a
+// long-lived process's Recorder does not grow with the tasks it runs.
+// Count, total, min and max are exact over every sample. The median is
+// that of the latest recentSamples samples, which is exact for any
+// stream of at most that many — every study's task count.
+type durations struct {
+	count           int
+	total, min, max time.Duration
+	recent          []time.Duration // ring once full; slot count%recentSamples is the oldest
+}
+
+func (d *durations) add(x time.Duration) {
+	if d.count == 0 || x < d.min {
+		d.min = x
+	}
+	if d.count == 0 || x > d.max {
+		d.max = x
+	}
+	d.total += x
+	if len(d.recent) < recentSamples {
+		d.recent = append(d.recent, x)
+	} else {
+		d.recent[d.count%recentSamples] = x
+	}
+	d.count++
+}
+
+func (d *durations) stats() DurationStats {
+	if d.count == 0 {
 		return DurationStats{}
 	}
-	ms := make([]float64, len(ds))
-	total := 0.0
-	for i, d := range ds {
-		ms[i] = float64(d) / float64(time.Millisecond)
-		total += ms[i]
-	}
-	sort.Float64s(ms)
+	recent := slices.Clone(d.recent)
+	slices.Sort(recent)
+	ms := func(x time.Duration) float64 { return float64(x) / float64(time.Millisecond) }
 	return DurationStats{
-		Count:   len(ms),
-		MinMS:   ms[0],
-		P50MS:   ms[len(ms)/2],
-		MaxMS:   ms[len(ms)-1],
-		TotalMS: total,
+		Count:   d.count,
+		MinMS:   ms(d.min),
+		P50MS:   ms(recent[len(recent)/2]),
+		MaxMS:   ms(d.max),
+		TotalMS: ms(d.total),
 	}
 }
 
@@ -212,10 +238,10 @@ func (r *Recorder) Snapshot() Snapshot {
 		snap.Studies = append(snap.Studies, StudyStats{
 			Name:   s.name,
 			WallMS: float64(wall) / float64(time.Millisecond),
-			Tasks:  summarize(s.tasks),
+			Tasks:  s.tasks.stats(),
 		})
 	}
-	snap.Tasks = summarize(r.tasks)
-	snap.QueueWait = summarize(r.queueWaits)
+	snap.Tasks = r.tasks.stats()
+	snap.QueueWait = r.queueWaits.stats()
 	return snap
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -80,6 +81,44 @@ func TestDurationStats(t *testing.T) {
 		t.Errorf("task stats = %+v", snap.Tasks)
 	}
 	if snap.QueueWait.Count != 3 || snap.QueueWait.MinMS != 0 || snap.QueueWait.MaxMS != 2 {
+		t.Errorf("queue wait = %+v", snap.QueueWait)
+	}
+}
+
+// TestTaskSummaryBounded pins the Recorder's fixed footprint: 200 000
+// task starts and completions inside an open study allocate no more than
+// the three summaries' rings, however many tasks run. Count, min, max and
+// total stay exact; the median is that of the latest 1024 tasks.
+func TestTaskSummaryBounded(t *testing.T) {
+	const n = 200_000
+	r := New(nil)
+	end := r.Study("grid")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		r.TaskStart(0, i, time.Microsecond)
+		r.TaskDone(0, i, time.Duration(i)*time.Microsecond)
+	}
+	runtime.ReadMemStats(&after)
+	end()
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d task starts and completions allocated %d B", n, got)
+	if got > 128<<10 {
+		t.Errorf("%d tasks allocated %d B, want <= 128 KiB whatever the task count", n, got)
+	}
+
+	snap := r.Snapshot()
+	want := DurationStats{
+		Count:   n,
+		MinMS:   0,
+		P50MS:   float64(n-recentSamples/2) / 1000, // median of the latest 1024
+		MaxMS:   float64(n-1) / 1000,
+		TotalMS: float64(n) * float64(n-1) / 2 / 1000,
+	}
+	if snap.Tasks != want || snap.Studies[0].Tasks != want {
+		t.Errorf("task stats = %+v (study %+v), want %+v", snap.Tasks, snap.Studies[0].Tasks, want)
+	}
+	if snap.QueueWait.Count != n || snap.QueueWait.P50MS != 0.001 {
 		t.Errorf("queue wait = %+v", snap.QueueWait)
 	}
 }

@@ -1,11 +1,15 @@
 package pipeline
 
-import "repro/internal/trace"
+import (
+	"slices"
+
+	"repro/internal/trace"
+)
 
 // RunBatch simulates one benchmark trace under every lane of params in a
 // single batched pass: the depth-invariant per-benchmark work — the
-// instruction decode and class flags, the tournament predictor's training
-// walk, the consumer CSR (trace.ConsumerIndex, built only when some lane
+// per-instruction flags with the tournament predictor's verdicts from its
+// training walk, the consumer CSR (trace.ConsumerIndex, built only when some lane
 // is out-of-order), and the cache-prewarm walk — is done once per call
 // and shared, while each lane keeps its own timing state in its Scratch.
 // The shared state lives in the first lane's Scratch (a throwaway one
@@ -50,42 +54,25 @@ func RunBatch(params []Params, tr *trace.Trace, scratches []*Scratch) []Stats {
 	}
 	owner.decode(tr, outOfOrder)
 
-	// Fast path: every lane has the same memory-system geometry — the
-	// depth-sweep shape, where lanes differ only in clock-derived timing —
-	// so there is exactly one partition and no index bookkeeping.
-	uniform := true
-	key0 := hierKeyFor(params[0].Machine)
-	for i := 1; i < len(params); i++ {
-		if hierKeyFor(params[i].Machine) != key0 {
-			uniform = false
-			break
+	// Partition the lanes by memory-system geometry in first-seen order:
+	// one partition for a depth sweep, a few for a mixed-machine grid. The
+	// partitions' lane indices go back to back into the owner's reusable
+	// list, and the scan stops once every lane is placed.
+	lanes := owner.batchLanes[:0]
+	for i := 0; len(lanes) < len(params); i++ {
+		if slices.Contains(lanes, i) {
+			continue // placed with an earlier lane of its geometry
 		}
-	}
-	if uniform {
-		runBatchPartition(params, tr, scratches, owner, out, nil)
-	} else {
-		// Mixed-machine grids (ablations, capacity studies) are rare and
-		// small, so the partition bookkeeping may allocate.
-		keys := make([]hierKey, len(params))
-		for i := range params {
-			keys[i] = hierKeyFor(params[i].Machine)
-		}
-		assigned := make([]bool, len(params))
-		var lanes []int
-		for i := range params {
-			if assigned[i] {
-				continue
+		key := hierKeyFor(params[i].Machine)
+		start := len(lanes)
+		for j := i; j < len(params); j++ {
+			if hierKeyFor(params[j].Machine) == key {
+				lanes = append(lanes, j)
 			}
-			lanes = lanes[:0]
-			for j := i; j < len(params); j++ {
-				if !assigned[j] && keys[j] == keys[i] {
-					assigned[j] = true
-					lanes = append(lanes, j)
-				}
-			}
-			runBatchPartition(params, tr, scratches, owner, out, lanes)
 		}
+		runBatchPartition(params, tr, scratches, owner, out, lanes[start:])
 	}
+	owner.batchLanes = lanes
 
 	// Every lane after the first consumed the decode (and predictor walk)
 	// built for the batch's first lane.
@@ -96,29 +83,17 @@ func RunBatch(params []Params, tr *trace.Trace, scratches []*Scratch) []Stats {
 	return out
 }
 
-// runBatchPartition runs the lanes of one geometry partition. lanes
-// lists the partition's lane indices; nil means all of params (the
-// uniform fast path). owner holds the call's shared state: the decode,
+// runBatchPartition runs the lanes of one geometry partition, whose
+// indices lanes lists. owner holds the call's shared state: the decode,
 // already built, and the partition's prewarm template. Single-lane
 // partitions are the RunWith fallback; larger ones build the template
 // once and copy it into every lane.
 func runBatchPartition(params []Params, tr *trace.Trace, scratches []*Scratch, owner *Scratch, out []Stats, lanes []int) {
-	count := len(params)
-	if lanes != nil {
-		count = len(lanes)
-	}
-	laneAt := func(k int) int {
-		if lanes == nil {
-			return k
-		}
-		return lanes[k]
-	}
-
-	if count == 1 {
+	if len(lanes) == 1 {
 		// A lane with no geometry partner shares nothing but the decode;
 		// it runs the plain RunWith path and keeps BatchLanes zero, so its
 		// Stats are indistinguishable from an unbatched run's.
-		i := laneAt(0)
+		i := lanes[0]
 		out[i] = runWith(params[i], tr, scratches[i], &owner.dec, nil)
 		return
 	}
@@ -126,14 +101,13 @@ func runBatchPartition(params []Params, tr *trace.Trace, scratches []*Scratch, o
 	// Prewarm once per partition. The template lives on owner, beside
 	// (never in place of) its lane hierarchy, so its allocation amortizes
 	// across batches.
-	tmpl := owner.warmTemplate(params[laneAt(0)].Machine)
+	tmpl := owner.warmTemplate(params[lanes[0]].Machine)
 	tmpl.Coverage = tr.PrefetchCoverage
 	tmpl.Prewarm(tr.HotBytes, tr.WarmBytes)
 
-	for k := 0; k < count; k++ {
-		i := laneAt(k)
+	for _, i := range lanes {
 		out[i] = runWith(params[i], tr, scratches[i], &owner.dec, tmpl)
-		out[i].BatchLanes = uint64(count)
+		out[i].BatchLanes = uint64(len(lanes))
 	}
 }
 

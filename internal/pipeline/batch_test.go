@@ -13,9 +13,9 @@ import (
 
 // batchGrid builds a deliberately heterogeneous lane set: a depth sweep,
 // the Section 5 window variants, an in-order lane, and one lane with a
-// doubled L1 (a second geometry partition), so the property test covers
-// the uniform fast path, structural divergence and the partition
-// bookkeeping in one grid.
+// doubled L1 (a second, single-lane geometry partition), so the property
+// test covers a shared prewarm template, the RunWith fallback, structural
+// divergence and the partition bookkeeping in one grid.
 func batchGrid() []Params {
 	var ps []Params
 	for _, useful := range []float64{2, 4, 6, 8, 12, 16} {
@@ -170,6 +170,28 @@ func TestRunBatchBytesIndependentOfLaneCount(t *testing.T) {
 	}
 	if again > 16<<10 {
 		t.Errorf("steady-state 15-lane RunBatch allocates %d B, want <= 16 KiB (the result slice)", again)
+	}
+}
+
+// TestRunWithBytesPerInstruction pins what a Scratch keeps per
+// instruction of its trace: 28 B of timing arenas, the decode's flags
+// byte and the consumer index, about 41 B in all. Two fresh RunWith calls
+// on traces of one profile at 40 000 and 20 000 instructions allocate the
+// same lane hierarchy, so their difference over 20 000 is the per-
+// instruction cost. A decode that copied the trace's operands, classes or
+// addresses again would cost 17 B more.
+func TestRunWithBytesPerInstruction(t *testing.T) {
+	prof, _ := trace.ByName("176.gcc")
+	short, long := prof.Generate(20000, 1), prof.Generate(40000, 1)
+	p := paramsAt(6)
+	RunWith(p, short, nil) // settle one-time runtime allocation
+
+	lo := allocBytes(func() { RunWith(p, short, nil) })
+	hi := allocBytes(func() { RunWith(p, long, nil) })
+	perInst := (float64(hi) - float64(lo)) / 20000
+	t.Logf("fresh RunWith: %d B at 20 000 instructions, %d B at 40 000: %.1f B per instruction", lo, hi, perInst)
+	if perInst > 44 {
+		t.Errorf("a fresh RunWith allocates %.1f B per instruction, want <= 44", perInst)
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 	"repro/internal/trace"
 )
 
-// Per-instruction decode flags. One byte per instruction carries
-// everything the cycle loops branch on, so the hot paths test a bit
-// instead of loading a 24-byte trace.Inst and re-deriving class
-// predicates per lane.
+// Per-instruction decode flags. One byte per instruction carries the
+// class predicates the cycle loops branch on and the predictor's verdict,
+// which the trace does not hold. Operands, classes and addresses are read
+// from the trace itself.
 const (
 	dFP         uint8 = 1 << iota // executes on the floating-point cluster
 	dBranch                       // conditional branch
@@ -19,15 +19,14 @@ const (
 	dMispredict                   // tournament predictor guessed wrong
 )
 
-// traceDecode is the depth-invariant decode of one instruction stream in
-// structure-of-arrays form: class predicates folded into flags, operand
-// producers, data addresses, and — crucially — the tournament predictor's
-// per-branch verdicts. The predictor sees branches in trace order in both
-// cores regardless of timing, and Params never alters its tables, so its
-// guess stream is a pure function of the trace: one training walk per call
-// replaces one per lane. (PerfectBranches machines override the guess
-// after the tables update, so they consume the same decode and just
-// ignore dMispredict.)
+// traceDecode is what a call derives from its instruction stream and
+// every lane shares: the per-instruction flags byte, the consumer index,
+// and — crucially — the tournament predictor's per-branch verdicts. The
+// predictor sees branches in trace order in both cores regardless of
+// timing, and Params never alters its tables, so its guess stream is a
+// pure function of the trace: one training walk per call replaces one per
+// lane. (PerfectBranches machines override the guess after the tables
+// update, so they consume the same decode and just ignore dMispredict.)
 //
 // A decode is per-call state held in a Scratch: RunWith builds it into
 // its own Scratch, RunBatch builds it once into its first lane's and hands
@@ -35,10 +34,6 @@ const (
 // for reuse never keeps a trace alive.
 type traceDecode struct {
 	flags []uint8
-	class []isa.Class
-	src1  []int32
-	src2  []int32
-	addr  []uint64
 
 	// consumers is the trace's reverse dependence index, which only the
 	// out-of-order core reads; nil when the decode was built for in-order
@@ -58,12 +53,8 @@ func (s *Scratch) decode(tr *trace.Trace, withConsumers bool) *traceDecode {
 	n := len(insts)
 	if cap(d.flags) < n {
 		d.flags = make([]uint8, n)
-		d.class = make([]isa.Class, n)
-		d.src1 = make([]int32, n)
-		d.src2 = make([]int32, n)
-		d.addr = make([]uint64, n)
 	}
-	d.flags, d.class, d.src1, d.src2, d.addr = d.flags[:n], d.class[:n], d.src1[:n], d.src2[:n], d.addr[:n]
+	d.flags = d.flags[:n]
 	d.consumers = nil
 	if withConsumers {
 		d.csr.Build(insts)
@@ -74,10 +65,6 @@ func (s *Scratch) decode(tr *trace.Trace, withConsumers bool) *traceDecode {
 	pred.Reset()
 	for i := range insts {
 		in := &insts[i]
-		d.class[i] = in.Class
-		d.src1[i] = in.Src1
-		d.src2[i] = in.Src2
-		d.addr[i] = in.Addr
 		var f uint8
 		if in.Class.IsFP() {
 			f |= dFP

@@ -15,14 +15,12 @@ import (
 func runInOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, warm *mem.Hierarchy) Stats {
 	m := p.Machine
 	tmg := p.Timing
-	n := len(tr.Insts)
+	insts := tr.Insts
+	n := len(insts)
 	if n == 0 {
 		panic("pipeline: empty trace")
 	}
-
-	// Shared depth-invariant decode; see runOutOfOrder.
-	flags, class := dec.flags, dec.class
-	src1s, src2s, addrs := dec.src1, dec.src2, dec.addr
+	flags := dec.flags // shared decode; see runOutOfOrder
 
 	hier := scr.hierarchyFor(m, tr, warm)
 	var lat latEnv
@@ -60,6 +58,7 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, warm 
 	}
 
 	for i := 0; i < n; i++ {
+		in := &insts[i]
 		f := flags[i]
 
 		// ---- Fetch: bandwidth FetchWidth per cycle; a taken branch ends
@@ -80,10 +79,10 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, warm 
 			earliest = issueCycle
 		}
 		ready := earliest
-		if s1 := src1s[i]; s1 >= 0 && times[s1].data > ready {
+		if s1 := in.Src1; s1 >= 0 && times[s1].data > ready {
 			ready = times[s1].data
 		}
-		if s2 := src2s[i]; s2 >= 0 && times[s2].data > ready {
+		if s2 := in.Src2; s2 >= 0 && times[s2].data > ready {
 			ready = times[s2].data
 		}
 
@@ -107,7 +106,7 @@ func runInOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, warm 
 		issued := issueCycle
 
 		// ---- Execute.
-		execLat := lat.latency(f, class[i], addrs[i], &stats)
+		execLat := lat.latency(f, in.Class, in.Addr, &stats)
 		times[i].data = issued + execLat
 
 		// ---- Branches: resolve at execute; a misprediction stalls fetch

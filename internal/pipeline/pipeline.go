@@ -135,9 +135,10 @@ func (s Stats) AvgWindowOcc() float64 {
 // cache hierarchy, window occupancy) lives in a Scratch borrowed from a
 // package pool for the duration of the call, the trace is only read
 // (immutable by contract, see internal/trace), and Params is passed by
-// value. The sweep engine relies on this to run many simulations of the
-// same trace in parallel; internal/core's race tests pin it. Callers with
-// their own run loop can hold a Scratch and use RunWith to skip the pool.
+// value. It serves one-off simulations (the repro facade, examples,
+// tests); the sweep engine runs its grids through RunBatch on simulation
+// state borrowed from internal/core's idle list. Callers with their own
+// run loop can hold a Scratch and use RunWith to skip the pool.
 func Run(p Params, tr *trace.Trace) Stats {
 	s := scratchPool.Get().(*Scratch)
 	stats := RunWith(p, tr, s)
@@ -192,7 +193,8 @@ type winEntry struct {
 func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, warm *mem.Hierarchy) Stats {
 	m := p.Machine
 	tmg := p.Timing
-	n := len(tr.Insts)
+	insts := tr.Insts
+	n := len(insts)
 	if n == 0 {
 		panic("pipeline: empty trace")
 	}
@@ -201,12 +203,11 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, wa
 		stages = 1
 	}
 
-	// The depth-invariant decode: class flags, operand producers, data
-	// addresses and the predictor's per-branch verdicts, built once per
-	// call (see traceDecode). The cycle loops below never touch tr.Insts
-	// again.
-	flags, class := dec.flags, dec.class
-	src1s, src2s, addrs := dec.src1, dec.src2, dec.addr
+	// The depth-invariant decode: class flags and the predictor's
+	// per-branch verdicts, built once per call (see traceDecode). Fetch and
+	// selection branch on these bytes; issue and dispatch read the
+	// instruction's class, operands and address from the trace.
+	flags := dec.flags
 
 	// Issue queues: the 21264's separate integer and floating-point queues
 	// by default, or one shared window when UnifiedWindow is set (the
@@ -333,12 +334,13 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, wa
 			}
 			var issued []int32
 			if !preSel && !mixed {
-				// Split-queue scan, inlined from issueSelect's uniform
-				// path: this is the simulator's hottest edge (it runs for
-				// every queue on every non-gated cycle), and keeping it in
-				// the loop body spares the call and its argument traffic.
-				// Semantics are identical — the batch golden and property
-				// tests pin both paths against each other.
+				// Split-queue scan: a split queue holds one class, so it
+				// charges a single budget without consulting the flags.
+				// This is the simulator's hottest edge (it runs for every
+				// queue on every non-gated cycle), so it lives in the loop
+				// body rather than behind a call. Once the budget is gone
+				// nothing further can be selected, and the scan ends with
+				// the (always valid) cycle+1 bound.
 				sel := selected[:0]
 				nextReady := int64(pending)
 				budget := intBudget
@@ -374,7 +376,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, wa
 				issued = sel
 			} else {
 				var nextReady int64
-				issued, nextReady, intBudget, fpBudget = issueSelect(flags, q, cycle, intBudget, fpBudget, preSel, mixed, qi == 1, selected[:0])
+				issued, nextReady, intBudget, fpBudget = issueSelect(flags, q, cycle, intBudget, fpBudget, preSel, selected[:0])
 				q.nextReady = nextReady
 			}
 			stats.SumIssued += uint64(len(issued))
@@ -385,11 +387,12 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, wa
 				// Non-memory instructions resolve to a fixed per-class
 				// latency; only loads and stores pay the call into the
 				// cache hierarchy.
+				in := &insts[idx]
 				var completeLat int64
 				if f := flags[idx]; f&(dLoad|dStore) == 0 {
-					completeLat = lat.exec[class[idx]]
+					completeLat = lat.exec[in.Class]
 				} else {
-					completeLat = lat.latency(f, class[idx], addrs[idx], &stats)
+					completeLat = lat.latency(f, in.Class, in.Addr, &stats)
 				}
 				d := cycle + maxInt64(completeLat, wakeLoop)
 				times[idx] = instTimes{data: d, complete: cycle + completeLat}
@@ -504,9 +507,10 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, wa
 				// (live < cap guarantees there are some); reclaim it.
 				q.compact(queuePos, int32(qsel)<<qposQueueShift)
 			}
+			in := &insts[di]
 			e := winEntry{idx: di, src1: -1, src2: -1}
-			w1 := resolveOperand(src1s[di], times, cycle, &e.src1)
-			w2 := resolveOperand(src2s[di], times, cycle, &e.src2)
+			w1 := resolveOperand(in.Src1, times, cycle, &e.src1)
+			w2 := resolveOperand(in.Src2, times, cycle, &e.src2)
 			if e.src1 == -1 && e.acc < w1 {
 				e.acc = w1
 			}
@@ -805,12 +809,12 @@ func (q *issueQueue) compact(queuePos []int32, qbit int32) {
 // (every resolved latency is at least one cycle), so the bound being a
 // true lower bound means skipped scans select exactly what a real scan
 // would have: nothing.
-// mixed says the queue can hold both instruction classes (the unified
-// window); a split queue holds exactly one class (fp says which), so its
-// scan charges a single budget without consulting the per-instruction
-// flags at all.
+//
+// It serves partitioned selection and the unified window, charging each
+// pick to the budget its flags name; the split queues' single-class scan
+// is inlined in runOutOfOrder's issue loop.
 func issueSelect(flags []uint8, q *issueQueue, cycle int64,
-	intBudget, fpBudget int, preSel, mixed, fp bool, sel []int32) ([]int32, int64, int, int) {
+	intBudget, fpBudget int, preSel bool, sel []int32) ([]int32, int64, int, int) {
 
 	nextReady := int64(pending)
 	ready := q.ready
@@ -854,45 +858,12 @@ func issueSelect(flags []uint8, q *issueQueue, cycle int64,
 		return sel, nextReady, intBudget, fpBudget
 	}
 
-	// Sparse scan: only fully scheduled entries (sched bit set) can be
-	// selectable, and the bitmap walks them oldest-first. Entries still
-	// awaiting a producer contribute nothing to the next-ready bound (the
-	// wakeup delivery that schedules them lowers it at delivery time), and
-	// tombstones have no bit, so neither costs a slot visit.
-	if !mixed {
-		// Single-class queue: one budget, and no flags lookup per entry.
-		// Once the budget is gone nothing further can be selected, so the
-		// scan ends with the (always valid) cycle+1 bound instead of
-		// walking the rest of the bitmap for a sharper one.
-		budget := intBudget
-		if fp {
-			budget = fpBudget
-		}
-		for k, w := range q.sched[:uint(len(ready)+63)>>6] {
-			for w != 0 {
-				wi := k<<6 + bits.TrailingZeros64(w)
-				w &= w - 1
-				if r := ready[wi]; r > cycle {
-					if r < nextReady {
-						nextReady = r
-					}
-					continue
-				}
-				if budget == 0 {
-					if fp {
-						return sel, cycle + 1, intBudget, 0
-					}
-					return sel, cycle + 1, 0, fpBudget
-				}
-				budget--
-				sel = append(sel, q.entries[wi].idx)
-			}
-		}
-		if fp {
-			return sel, nextReady, intBudget, budget
-		}
-		return sel, nextReady, budget, fpBudget
-	}
+	// Sparse scan of the unified window: only fully scheduled entries
+	// (sched bit set) can be selectable, and the bitmap walks them
+	// oldest-first. Entries still awaiting a producer contribute nothing to
+	// the next-ready bound (the wakeup delivery that schedules them lowers
+	// it at delivery time), and tombstones have no bit, so neither costs a
+	// slot visit.
 	for k, w := range q.sched[:uint(len(ready)+63)>>6] {
 		for w != 0 {
 			if intBudget == 0 && fpBudget == 0 {

@@ -61,6 +61,10 @@ type Scratch struct {
 	// lets the lanes of one partition share this Scratch.
 	warmTmpl    *mem.Hierarchy
 	warmTmplKey hierKey
+
+	// batchLanes is RunBatch's partition list on the owner Scratch: the
+	// lane indices of each geometry partition, back to back.
+	batchLanes []int
 }
 
 // NewScratch returns an empty Scratch; arenas grow on first use.

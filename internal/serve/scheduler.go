@@ -236,12 +236,19 @@ func (s *scheduler) release(tickets []ticket) {
 			kept = append(kept, j)
 			continue
 		}
-		delete(s.inflight, j.key)
-		j.err = errCancelled
-		close(j.done)
-		s.rec.Add("points_dropped", 1)
+		s.cancel(j)
 	}
 	s.queue = kept
+}
+
+// cancel retires a job whose waiters all left before it ran: it leaves
+// inflight, fails with errCancelled and counts as dropped. Called with
+// s.mu held.
+func (s *scheduler) cancel(j *job) {
+	delete(s.inflight, j.key)
+	j.err = errCancelled
+	close(j.done)
+	s.rec.Add("points_dropped", 1)
 }
 
 // takeBatch claims every queued job that still has a waiter. Called by
@@ -252,10 +259,7 @@ func (s *scheduler) takeBatch() []*job {
 	batch := make([]*job, 0, len(s.queue))
 	for _, j := range s.queue {
 		if j.waiters.Load() <= 0 { // release prunes these; belt and braces
-			delete(s.inflight, j.key)
-			j.err = errCancelled
-			close(j.done)
-			s.rec.Add("points_dropped", 1)
+			s.cancel(j)
 			continue
 		}
 		batch = append(batch, j)
@@ -289,10 +293,7 @@ func (s *scheduler) runBatch(batch []*job) {
 			s.queue = append(s.queue, j)
 			continue
 		}
-		delete(s.inflight, j.key)
-		j.err = errCancelled
-		close(j.done)
-		s.rec.Add("points_dropped", 1)
+		s.cancel(j)
 	}
 }
 
