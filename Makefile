@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench-module vet lint lint-stats fuzz-smoke bench-smoke bench-compare bench-record chaos-smoke run-regression-seeds cover profile check
+.PHONY: build test race bench-module vet fmt-check lint lint-stats fuzz-smoke bench-smoke bench-compare bench-record chaos-smoke run-regression-seeds cover profile check
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,11 @@ bench-module:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails listing every file gofmt would rewrite, the
+# benchmark module included.
+fmt-check:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 # Static analysis: the repo's invariant-enforcing rule suite
 # (cmd/reprolint -list names the rules), including the interprocedural
@@ -122,4 +127,4 @@ profile:
 	@echo "inspect with: $(GO) tool pprof -top cpu.pprof"
 
 # The documented pre-push command.
-check: build vet test race lint bench-module
+check: build vet fmt-check test race lint bench-module

@@ -81,7 +81,7 @@ func simEntryPoint(n *Node) bool {
 	case "internal/core":
 		return name == "SimulatePoint" || name == "SimulateBatch" || name == "DepthSweep"
 	case "internal/pipeline":
-		return name == "Run" || name == "RunWith" || name == "RunBatch"
+		return name == "RunWith" || name == "RunBatch"
 	case "internal/experiments":
 		// The study drivers: RunFigure1..11, RunAblation, RunHeadline,
 		// RunSegmentedSelect, RunCray1S — every exported Run* driver.

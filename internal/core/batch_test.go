@@ -6,14 +6,14 @@ import (
 
 	"repro/internal/fo4"
 	"repro/internal/metrics"
+	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
 // TestSimulateBatchMatchesRunWith pins the serving layer's batch entry
 // point against the per-lane engine: every lane of a mixed grid over one
 // trace must match pipeline.RunWith on that lane's own parameters field
-// for field once the batch accounting counters (which never reach the
-// wire) are cleared.
+// for field.
 func TestSimulateBatchMatchesRunWith(t *testing.T) {
 	opts := []PointOptions{
 		{Benchmark: "gcc", Useful: 4, Instructions: 5000},
@@ -36,10 +36,8 @@ func TestSimulateBatchMatchesRunWith(t *testing.T) {
 		tr := cachedTrace(prof, o.Instructions, o.Seed, nil)
 		p, clk := o.params()
 		want := pointResult(pipeline.RunWith(p, tr, sc), tr, clk)
-		g := got[i]
-		g.Stats.BatchLanes, g.Stats.BatchSharedDecode = 0, 0
-		if g != want {
-			t.Errorf("lane %d: batched point diverges from RunWith:\n got %+v\nwant %+v", i, g, want)
+		if got[i] != want {
+			t.Errorf("lane %d: batched point diverges from RunWith:\n got %+v\nwant %+v", i, got[i], want)
 		}
 	}
 }
@@ -73,17 +71,19 @@ func TestSimulateBatchRejectsMixedTraces(t *testing.T) {
 // TestDepthSweepBatchedMatchesUnbatched is the engine-level equivalence
 // oracle: every cell of a batched DepthSweep must equal an unbatched
 // pipeline.RunWith of that cell's (params, trace), built here in the
-// test, modulo the batch accounting counters — at more than one worker
-// count.
+// test — at more than one worker count. The recorder's batch_lanes
+// counter proves the grid ran batched: one RunBatch call per benchmark
+// over every clock point.
 func TestDepthSweepBatchedMatchesUnbatched(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := smallConfig()
 		cfg.Workers = workers
+		rec := obs.New(nil)
+		cfg.Obs = rec
 		got := DepthSweep(cfg)
 		cfg = got.Config // filled: warmup, seed and tech resolved
 
 		sc := pipeline.NewScratch()
-		sawBatch := false
 		for pi, pt := range got.Points {
 			clk := fo4.Clock{Useful: pt.Useful, Overhead: cfg.Overhead}
 			p := pipeline.Params{Machine: cfg.Machine, Timing: cfg.Machine.Resolve(clk), Warmup: cfg.Warmup}
@@ -94,18 +94,15 @@ func TestDepthSweepBatchedMatchesUnbatched(t *testing.T) {
 					BIPS: metrics.BIPS(st.IPC, clk.FrequencyHz(cfg.Tech)), Stats: st}
 
 				b := pt.PerBench[ti]
-				if b.Stats.BatchLanes > 0 {
-					sawBatch = true
-				}
-				b.Stats.BatchLanes, b.Stats.BatchSharedDecode = 0, 0
 				if b != want {
 					t.Errorf("workers=%d point %d (%g FO4) %s: sweep cell diverges from RunWith:\n got %+v\nwant %+v",
 						workers, pi, pt.Useful, tr.Name, b, want)
 				}
 			}
 		}
-		if !sawBatch {
-			t.Errorf("workers=%d: sweep set no batch counters — did the grid batch at all?", workers)
+		if lanes, want := rec.Counter("batch_lanes"), int64(len(got.Points)*len(cfg.Benchmarks)); lanes != want {
+			t.Errorf("workers=%d: batch_lanes = %d, want %d (one %d-lane batch per benchmark)",
+				workers, lanes, want, len(got.Points))
 		}
 	}
 }

@@ -44,15 +44,22 @@ func (c SweepConfig) cancelled() bool {
 // recordEconomy surfaces the simulator's work-sharing counters in the run
 // manifest: wakes actually delivered through the consumer index versus
 // the window entries the per-issue broadcast scan they replaced would
-// have touched, and the lanes that shared a prewarmed memory template
-// and the instruction decodes reused from a batch's first lane.
-func recordEconomy(cfg SweepConfig, stats []pipeline.Stats) {
+// have touched, and, from the grid runGrid dispatched, the lanes that ran
+// in RunBatch calls of two or more lanes and the instruction decodes
+// those calls' later lanes reused from their first. batches[ti] is trace
+// ti's call, nil when cancellation skipped it.
+func recordEconomy(cfg SweepConfig, stats []pipeline.Stats, traces []*trace.Trace, batches [][]pipeline.Stats) {
 	var wakes, scanned, lanes, shared uint64
 	for i := range stats {
 		wakes += stats[i].WakeupWakes
 		scanned += stats[i].WakeupScanned
-		lanes += stats[i].BatchLanes
-		shared += stats[i].BatchSharedDecode
+	}
+	for ti, b := range batches {
+		if len(b) < 2 {
+			continue // cancelled, or a single lane that shared nothing
+		}
+		lanes += uint64(len(b))
+		shared += uint64(len(b)-1) * uint64(len(traces[ti].Insts))
 	}
 	cfg.Obs.Add("wakeup_wakes", int64(wakes))
 	cfg.Obs.Add("wakeup_scanned", int64(scanned))
@@ -70,8 +77,7 @@ func recordEconomy(cfg SweepConfig, stats []pipeline.Stats) {
 // prewarm) happens once per benchmark instead of once per cell, and the
 // worker's lane state survives from one study to the next. Each cell
 // equals pipeline.RunWith on its (params, trace) bit for bit at any
-// worker count, apart from the batch accounting counters (excluded from
-// JSON).
+// worker count.
 func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) []pipeline.Stats {
 	cfg.Obs.Add("simulations", int64(len(params)*len(traces)))
 	batches, _ := exec.Map(cfg.pool(), traces, func(_ int, tr *trace.Trace) []pipeline.Stats {
@@ -87,7 +93,7 @@ func runGrid(cfg SweepConfig, params []pipeline.Params, traces []*trace.Trace) [
 			stats[pi*len(traces)+ti] = batches[ti][pi]
 		}
 	}
-	recordEconomy(cfg, stats)
+	recordEconomy(cfg, stats, traces, batches)
 	return stats
 }
 
@@ -328,6 +334,18 @@ func runPoint(cfg SweepConfig, useful float64, traces []*trace.Trace, mod func(*
 type ipcPoint struct {
 	groups map[trace.Group]float64
 	all    float64
+}
+
+// relativeTo returns p's IPC relative to base, per group and across the
+// suite: the normalization every fixed-clock study reports.
+func (p ipcPoint) relativeTo(base ipcPoint) (map[trace.Group]float64, float64) {
+	rel := map[trace.Group]float64{}
+	for _, g := range trace.Groups() {
+		if x, ok := p.groups[g]; ok {
+			rel[g] = x / base.groups[g]
+		}
+	}
+	return rel, p.all / base.all
 }
 
 // runIPCVariants simulates every (variant, benchmark) pair on the worker

@@ -83,15 +83,9 @@ func CriticalLoopSensitivity(cfg SweepConfig, maxExtra int) []LoopSweep {
 	for _, loop := range loops {
 		sw := LoopSweep{Loop: loop}
 		for extra := 0; extra <= maxExtra; extra++ {
-			v := pts[next]
+			pt := LoopPoint{Extra: extra}
+			pt.RelativeIPC, pt.RelativeAll = pts[next].relativeTo(baseline)
 			next++
-			pt := LoopPoint{Extra: extra, RelativeIPC: map[trace.Group]float64{}}
-			for _, grp := range trace.Groups() {
-				if x, ok := v.groups[grp]; ok {
-					pt.RelativeIPC[grp] = x / baseline.groups[grp]
-				}
-			}
-			pt.RelativeAll = v.all / baseline.all
 			sw.Points = append(sw.Points, pt)
 		}
 		sweeps = append(sweeps, sw)

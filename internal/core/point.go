@@ -328,8 +328,7 @@ func SimulatePoint(o PointOptions, rec *obs.Recorder) (BenchPoint, error) {
 // batched pass over that trace: the depth-invariant per-benchmark work
 // is done once and shared through pipeline.RunBatch instead of once per
 // point. out[i] carries exactly the Stats pipeline.RunWith computes for
-// opts[i] on its own, apart from the batch accounting counters
-// (excluded from JSON); the core batch test pins that equivalence and
+// opts[i] on its own; the core batch test pins that equivalence and
 // the serving layer's byte-identity test pins it on the wire. The lanes
 // run on simulation state borrowed from the package's idle list (see
 // runLanes), so concurrent calls are safe and successive calls reuse it.

@@ -19,23 +19,20 @@ import (
 // prewarmed hierarchy template (its post-prewarm state is a pure function
 // of geometry and trace, so copying it is bit-identical to rebuilding
 // it), and a lane whose geometry no other lane shares falls back to the
-// plain RunWith path with zero BatchLanes. Structural divergence between
-// lanes — different WindowStages, PreSelect shapes, in-order vs
-// out-of-order — is always allowed: each lane runs its own core loop over
-// the shared decode.
+// plain RunWith path. Structural divergence between lanes — different
+// WindowStages, PreSelect shapes, in-order vs out-of-order — is always
+// allowed: each lane runs its own core loop over the shared decode.
 //
-// out[i] equals RunWith(params[i], tr, scratches[i]) field for field,
-// except for the BatchLanes/BatchSharedDecode accounting that only
-// RunBatch sets; the batch property test pins that equivalence.
-// scratches must have one (possibly nil) slot per lane and, like every
-// Scratch, must not be shared with concurrent calls. Slots may alias one
-// Scratch, and BatchScratch.Lanes makes them all alias it: lanes run
-// strictly one after another, each fully re-initializing the state it
-// reads (the Scratch contract), lanes only read the decode
-// (Scratch.dec), and a partition's prewarm template (Scratch.warmTmpl) is
-// a separate object from the lane hierarchy (Scratch.hier) that every
-// lane copies it into, so a lane never overwrites the shared state the
-// next lane reads.
+// out[i] equals RunWith(params[i], tr, scratches[i]) field for field;
+// the batch property test pins that equivalence. scratches must have
+// one (possibly nil) slot per lane and, like every Scratch, must not be
+// shared with concurrent calls. Slots may alias one Scratch, and
+// BatchScratch.Lanes makes them all alias it: lanes run strictly one
+// after another, each fully re-initializing the state it reads (the
+// Scratch contract), lanes only read the decode (Scratch.dec), and a
+// partition's prewarm template (Scratch.warmTmpl) is a separate object
+// from the lane hierarchy (Scratch.hier) that every lane copies it into,
+// so a lane never overwrites the shared state the next lane reads.
 func RunBatch(params []Params, tr *trace.Trace, scratches []*Scratch) []Stats {
 	if len(scratches) != len(params) {
 		panic("pipeline: RunBatch needs one scratch slot per lane")
@@ -73,13 +70,6 @@ func RunBatch(params []Params, tr *trace.Trace, scratches []*Scratch) []Stats {
 		runBatchPartition(params, tr, scratches, owner, out, lanes[start:])
 	}
 	owner.batchLanes = lanes
-
-	// Every lane after the first consumed the decode (and predictor walk)
-	// built for the batch's first lane.
-	shared := uint64(len(tr.Insts))
-	for i := 1; i < len(out); i++ {
-		out[i].BatchSharedDecode = shared
-	}
 	return out
 }
 
@@ -91,8 +81,7 @@ func RunBatch(params []Params, tr *trace.Trace, scratches []*Scratch) []Stats {
 func runBatchPartition(params []Params, tr *trace.Trace, scratches []*Scratch, owner *Scratch, out []Stats, lanes []int) {
 	if len(lanes) == 1 {
 		// A lane with no geometry partner shares nothing but the decode;
-		// it runs the plain RunWith path and keeps BatchLanes zero, so its
-		// Stats are indistinguishable from an unbatched run's.
+		// it runs the plain RunWith path.
 		i := lanes[0]
 		out[i] = runWith(params[i], tr, scratches[i], &owner.dec, nil)
 		return
@@ -107,7 +96,6 @@ func runBatchPartition(params []Params, tr *trace.Trace, scratches []*Scratch, o
 
 	for _, i := range lanes {
 		out[i] = runWith(params[i], tr, scratches[i], &owner.dec, tmpl)
-		out[i].BatchLanes = uint64(len(lanes))
 	}
 }
 

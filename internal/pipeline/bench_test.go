@@ -4,12 +4,13 @@ import (
 	"testing"
 )
 
-// Microbenchmarks for the simulator hot loop: one Run per iteration, one
-// sub-benchmark per workload class mix (the three groups the paper's
-// figures split on) and per window variant. ReportAllocs makes the
-// steady-state allocation behaviour a first-class benchmark output, so a
-// regression shows up per-package instead of hiding inside the end-to-end
-// figure benchmarks; cmd/benchdiff compares runs.
+// Microbenchmarks for the simulator hot loop: one RunWith per iteration on
+// a Scratch held across iterations (steady state), one sub-benchmark per
+// workload class mix (the three groups the paper's figures split on) and
+// per window variant. ReportAllocs makes the steady-state allocation
+// behaviour a first-class benchmark output, so a regression shows up
+// per-package instead of hiding inside the end-to-end figure benchmarks;
+// cmd/benchdiff compares runs.
 
 // benchMixes names one benchmark per group: integer, vector FP, and
 // non-vector FP exercise the branchy, latency-tolerant and mixed paths of
@@ -24,11 +25,13 @@ func benchRun(b *testing.B, mod func(*Params)) {
 			if mod != nil {
 				mod(&p)
 			}
+			scr := NewScratch()
+			RunWith(p, tr, scr) // grow the arenas outside the timed loop
 			b.ReportAllocs()
 			b.ResetTimer()
 			var s Stats
 			for i := 0; i < b.N; i++ {
-				s = Run(p, tr)
+				s = RunWith(p, tr, scr)
 			}
 			b.ReportMetric(s.IPC, "IPC")
 		})

@@ -6,7 +6,7 @@ import (
 )
 
 // TestConcurrentRunsShareTrace pins the concurrency contract the sweep
-// engine depends on: multiple Run calls may execute simultaneously against
+// engine depends on: multiple RunWith calls may execute simultaneously against
 // the same *trace.Trace and must produce exactly the stats a serial run
 // does. Run under -race this doubles as a regression test for any
 // simulator state that leaks across goroutines or any write to the shared
@@ -17,7 +17,7 @@ func TestConcurrentRunsShareTrace(t *testing.T) {
 
 	want := make([]Stats, len(params))
 	for i, p := range params {
-		want[i] = Run(p, tr)
+		want[i] = RunWith(p, tr, nil)
 	}
 
 	got := make([]Stats, len(params))
@@ -26,7 +26,7 @@ func TestConcurrentRunsShareTrace(t *testing.T) {
 		wg.Add(1)
 		go func(i int, p Params) {
 			defer wg.Done()
-			got[i] = Run(p, tr)
+			got[i] = RunWith(p, tr, nil)
 		}(i, p)
 	}
 	wg.Wait()

@@ -128,7 +128,7 @@ func TestGoldenStatsGrid(t *testing.T) {
 		grid := goldenGrid()
 		params := make([]Params, len(grid))
 		for i, c := range grid {
-			got[bench+"/"+c.name] = toGolden(Run(c.p, tr))
+			got[bench+"/"+c.name] = toGolden(RunWith(c.p, tr, nil))
 			params[i] = c.p
 		}
 		// The batched dispatch must reproduce the same goldens: every

@@ -17,7 +17,7 @@ func inorderParams() Params {
 func TestInOrderChainSerializes(t *testing.T) {
 	// An in-order machine on a strict chain is bounded by the ALU latency
 	// exactly like the out-of-order one (nothing to reorder).
-	s := Run(inorderParams(), chainTrace(20000))
+	s := RunWith(inorderParams(), chainTrace(20000), nil)
 	if s.IPC > 1.001 {
 		t.Errorf("in-order chain IPC = %.3f > 1", s.IPC)
 	}
@@ -25,7 +25,7 @@ func TestInOrderChainSerializes(t *testing.T) {
 
 func TestInOrderIndependentBoundedByIssueWidth(t *testing.T) {
 	// Independent ops run at the fetch/issue width.
-	s := Run(inorderParams(), independentTrace(20000))
+	s := RunWith(inorderParams(), independentTrace(20000), nil)
 	if s.IPC < 3.0 || s.IPC > 4.001 {
 		t.Errorf("in-order independent IPC = %.3f, want ~4", s.IPC)
 	}
@@ -42,10 +42,10 @@ func TestInOrderStallsOnLoadUse(t *testing.T) {
 			trace.Inst{Class: isa.Load, Src1: -1, Src2: -1, Addr: 64},
 			trace.Inst{Class: isa.IntAlu, Src1: int32(i), Src2: -1})
 	}
-	ino := Run(inorderParams(), tr)
+	ino := RunWith(inorderParams(), tr, nil)
 
 	m := config.Alpha21264()
-	ooo := Run(Params{Machine: m, Timing: config.Alpha21264Timing()}, tr)
+	ooo := RunWith(Params{Machine: m, Timing: config.Alpha21264Timing()}, tr, nil)
 	if ooo.IPC <= ino.IPC*1.3 {
 		t.Errorf("OoO (%.3f) should clearly beat in-order (%.3f) on load-use pairs",
 			ooo.IPC, ino.IPC)
@@ -62,7 +62,7 @@ func TestInOrderFPWidthRespected(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		tr.Insts = append(tr.Insts, trace.Inst{Class: isa.FPAdd, Src1: -1, Src2: -1})
 	}
-	s := Run(inorderParams(), tr)
+	s := RunWith(inorderParams(), tr, nil)
 	if s.IPC > 2.001 {
 		t.Errorf("FP stream IPC = %.3f, above the 2-wide FP issue", s.IPC)
 	}
@@ -77,8 +77,8 @@ func TestInOrderMispredictsCostMoreAtDepth(t *testing.T) {
 	prof, _ := trace.ByName("176.gcc")
 	tr := prof.Generate(30000, 1)
 	m := config.InOrder7Stage()
-	shallow := Run(Params{Machine: m, Timing: m.Resolve(clockAtUseful(12)), Warmup: 6000}, tr)
-	deep := Run(Params{Machine: m, Timing: m.Resolve(clockAtUseful(3)), Warmup: 6000}, tr)
+	shallow := RunWith(Params{Machine: m, Timing: m.Resolve(clockAtUseful(12)), Warmup: 6000}, tr, nil)
+	deep := RunWith(Params{Machine: m, Timing: m.Resolve(clockAtUseful(3)), Warmup: 6000}, tr, nil)
 	if deep.IPC >= shallow.IPC {
 		t.Errorf("deep in-order IPC (%.3f) not below shallow (%.3f)", deep.IPC, shallow.IPC)
 	}
@@ -93,8 +93,8 @@ func TestInOrderBelowOutOfOrderOnSuite(t *testing.T) {
 		mI := config.InOrder7Stage()
 		mO := config.Alpha21264()
 		clk := clockAtUseful(6)
-		ino := Run(Params{Machine: mI, Timing: mI.Resolve(clk), Warmup: 6000}, tr)
-		ooo := Run(Params{Machine: mO, Timing: mO.Resolve(clk), Warmup: 6000}, tr)
+		ino := RunWith(Params{Machine: mI, Timing: mI.Resolve(clk), Warmup: 6000}, tr, nil)
+		ooo := RunWith(Params{Machine: mO, Timing: mO.Resolve(clk), Warmup: 6000}, tr, nil)
 		if ooo.IPC <= ino.IPC {
 			t.Errorf("%s: OoO (%.3f) not above in-order (%.3f)", name, ooo.IPC, ino.IPC)
 		}

@@ -108,17 +108,6 @@ type Stats struct {
 	// the simulator no longer does.
 	WakeupWakes   uint64
 	WakeupScanned uint64
-
-	// Batch accounting, set only by RunBatch: BatchLanes is the size of the
-	// geometry partition this lane shared a prewarmed memory template with
-	// (zero for a lane that fell back to the plain RunWith path, whose
-	// Stats are then indistinguishable from an unbatched run's), and
-	// BatchSharedDecode
-	// counts the instructions whose decode/predictor walk was reused from
-	// the batch's first lane rather than recomputed. Excluded from JSON so
-	// batched and per-cell results serialize byte-identically.
-	BatchLanes        uint64 `json:"-"`
-	BatchSharedDecode uint64 `json:"-"`
 }
 
 // AvgWindowOcc returns the mean issue-window occupancy per cycle.
@@ -129,28 +118,16 @@ func (s Stats) AvgWindowOcc() float64 {
 	return float64(s.SumWindowOcc) / float64(s.SimCycles)
 }
 
-// Run simulates tr on the configured machine and returns its statistics.
-//
-// Run is safe for concurrent use: all simulation state (predictor tables,
-// cache hierarchy, window occupancy) lives in a Scratch borrowed from a
-// package pool for the duration of the call, the trace is only read
-// (immutable by contract, see internal/trace), and Params is passed by
-// value. It serves one-off simulations (the repro facade, examples,
-// tests); the sweep engine runs its grids through RunBatch on simulation
-// state borrowed from internal/core's idle list. Callers with their own
-// run loop can hold a Scratch and use RunWith to skip the pool.
-func Run(p Params, tr *trace.Trace) Stats {
-	s := scratchPool.Get().(*Scratch)
-	stats := RunWith(p, tr, s)
-	scratchPool.Put(s)
-	return stats
-}
-
-// RunWith simulates like Run but on caller-owned scratch state, reusing
-// its allocations. Results are identical to Run's for any scratch
-// history — every run re-initializes the state it reads — but a Scratch
-// must not be shared by concurrent calls. A nil scratch is allowed and
-// simulates on fresh state.
+// RunWith simulates tr on the configured machine and returns its
+// statistics. All simulation state (predictor tables, cache hierarchy,
+// window occupancy) lives in s, reused across calls: results are a pure
+// function of (p, tr) for any scratch history — every run re-initializes
+// the state it reads — but a Scratch must not be shared by concurrent
+// calls. A nil s simulates on fresh state, which is how one-off
+// simulations (the repro facade, examples, tests) call it; the sweep
+// engine runs its grids through RunBatch on simulation state borrowed
+// from internal/core's idle list. Concurrent calls may share tr: the
+// trace is only read (immutable by contract, see internal/trace).
 func RunWith(p Params, tr *trace.Trace, s *Scratch) Stats {
 	if s == nil {
 		s = NewScratch()
@@ -213,14 +190,11 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, wa
 	// by default, or one shared window when UnifiedWindow is set (the
 	// Section 5 experiments use a unified 32-entry window). Segmentation
 	// divides each queue into equal stages.
-	queues := scr.queues(m, stages)
-	intQ := queues[0]
-	fpQ := queues[len(queues)-1] // same queue as intQ when unified
-	nq := len(queues)
 	// qpair picks an instruction's queue branch-free: dFP is bit 0, so
 	// flags[i]&dFP is directly the index (both slots alias the shared
-	// window when unified).
-	qpair := [2]*issueQueue{intQ, fpQ}
+	// window when unified, and nq is 1).
+	qpair, nq := scr.queues(m, stages)
+	intQ, fpQ := qpair[0], qpair[1]
 
 	// The reverse dependence adjacency: who consumes each instruction's
 	// result. Built with the decode, it lets issue wake a producer's
@@ -295,7 +269,6 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, wa
 		warmIdx = 0
 	}
 
-	// issueBudget per class cluster, reset each cycle.
 	for head < n {
 		// ---- Commit: oldest first, up to CommitWidth, completed only.
 		committed := 0
@@ -324,60 +297,23 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, wa
 			resident += fpQ.live
 		}
 		stats.SumWindowOcc += uint64(resident)
-		intBudget, fpBudget := m.IntIssue, m.FPIssue
-		mixed := nq == 1 // the unified window holds both classes
+		budget := [2]int{m.IntIssue, m.FPIssue} // indexed by flags&dFP
 		var issuedFrom [2]bool
 		for qi := 0; qi < nq; qi++ {
 			q := qpair[qi&1]
 			if !preSel && cycle < q.nextReady {
 				continue // provably nothing selectable this cycle
 			}
+			// A split queue holds one class: hiding the other class's
+			// budget ends its scan as soon as its own budget is spent.
+			var hidden int
+			if nq == 2 {
+				hidden, budget[qi^1] = budget[qi^1], 0
+			}
 			var issued []int32
-			if !preSel && !mixed {
-				// Split-queue scan: a split queue holds one class, so it
-				// charges a single budget without consulting the flags.
-				// This is the simulator's hottest edge (it runs for every
-				// queue on every non-gated cycle), so it lives in the loop
-				// body rather than behind a call. Once the budget is gone
-				// nothing further can be selected, and the scan ends with
-				// the (always valid) cycle+1 bound.
-				sel := selected[:0]
-				nextReady := int64(pending)
-				budget := intBudget
-				if qi == 1 {
-					budget = fpBudget
-				}
-				ready := q.ready
-			scan:
-				for k, w := range q.sched[:uint(len(ready)+63)>>6] {
-					for w != 0 {
-						wi := k<<6 + bits.TrailingZeros64(w)
-						w &= w - 1
-						if r := ready[wi]; r > cycle {
-							if r < nextReady {
-								nextReady = r
-							}
-							continue
-						}
-						if budget == 0 {
-							nextReady = cycle + 1
-							break scan
-						}
-						budget--
-						sel = append(sel, q.entries[wi].idx)
-					}
-				}
-				if qi == 1 {
-					fpBudget = budget
-				} else {
-					intBudget = budget
-				}
-				q.nextReady = nextReady
-				issued = sel
-			} else {
-				var nextReady int64
-				issued, nextReady, intBudget, fpBudget = issueSelect(flags, q, cycle, intBudget, fpBudget, preSel, selected[:0])
-				q.nextReady = nextReady
+			issued, q.nextReady = selectReady(flags, q, cycle, &budget, preSel, selected[:0])
+			if nq == 2 {
+				budget[qi^1] = hidden
 			}
 			stats.SumIssued += uint64(len(issued))
 			if len(issued) > 0 {
@@ -480,7 +416,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, wa
 
 		// ---- Pre-selection for next cycle (Figure 12).
 		if preSel {
-			for _, q := range queues {
+			for _, q := range qpair[:nq] {
 				markPreSelections(p.PreSelect, q, cycle, stages, quota)
 			}
 		}
@@ -599,7 +535,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, wa
 		// but the cycle counter, and the next cycle anything *can* happen
 		// is bounded below by known timestamps: the ROB head's completion
 		// (commit), each queue's next-ready bound (issue — a true lower
-		// bound, see issueSelect), the frontend queue's head arrival
+		// bound, see selectReady), the frontend queue's head arrival
 		// (dispatch; a dispatch blocked on window or ROB space instead
 		// waits on an issue or commit, which the first two bounds cover),
 		// and the blocking branch's resolution (fetch). Jumping to the
@@ -701,13 +637,12 @@ type issueQueue struct {
 	// selection candidates. The per-cycle scan walks set bits instead of
 	// every slot, so entries still awaiting a producer and tombstones cost
 	// nothing. Maintained at dispatch, wakeup delivery, issue and
-	// compaction; the partitioned-selection scan ignores it (its latches,
-	// not readiness, gate eligibility beyond stage 1).
+	// compaction, so every entry with ready <= cycle has its bit set.
 	sched []uint64
 
 	// nextReady is a lower bound on the next cycle at which any resident
 	// entry could issue; while cycle < nextReady the selection scan is
-	// skipped entirely (see issueSelect for how the bound is maintained).
+	// skipped entirely (see selectReady for how the bound is maintained).
 	// It is advisory-low only — a stale small value costs a wasted scan,
 	// never a changed schedule — and is ignored under partitioned
 	// selection, whose latches couple consecutive cycles.
@@ -790,85 +725,36 @@ func (q *issueQueue) compact(queuePos []int32, qbit int32) {
 	q.firstGap = intMax
 }
 
-// issueSelect picks the instructions to issue from one queue this cycle,
-// honouring the shared issue widths, the segmented-wakeup visibility times,
-// and (when enabled) the partitioned selection quotas. It appends the
-// selected trace indices to sel, oldest first, returning the filled slice
-// (caller-provided scratch; never allocates at steady state) and the
-// remaining budgets (taken and returned by value so the scan loop keeps
-// them in registers).
+// selectReady picks the instructions to issue from one queue this cycle,
+// oldest first, charging each pick to the budget its class names
+// (budget[flags[idx]&dFP]) and, under partitioned selection (preSel),
+// passing over entries beyond stage 1 that no pre-selection block latched
+// last cycle. It appends the picks to sel (caller scratch; never
+// allocates at steady state) and returns the filled slice. A split queue
+// holds one class, so its caller zeroes the other class's budget for the
+// call: the scan then ends as soon as the queue's own budget is spent.
+//
+// The walk visits only fully scheduled entries: a set sched bit is
+// exactly ready != pending, so entries still awaiting a producer and
+// tombstones cost nothing, and every entry with ready <= cycle is visited.
 //
 // The second result is the queue's next-ready bound: the earliest cycle
-// at which this queue could select anything, given what this scan saw. An
-// entry whose operands are both scheduled contributes their max wake
-// time; an entry that was ready but lost to a budget (it stays resident)
-// forces cycle+1; a scan cut short by budget exhaustion learns nothing
-// beyond cycle+1. Entries still awaiting a producer contribute nothing —
-// the wakeup delivery that schedules them lowers the queue's bound at
-// delivery time. Wake deliveries always land beyond the current cycle
-// (every resolved latency is at least one cycle), so the bound being a
-// true lower bound means skipped scans select exactly what a real scan
-// would have: nothing.
-//
-// It serves partitioned selection and the unified window, charging each
-// pick to the budget its flags name; the split queues' single-class scan
-// is inlined in runOutOfOrder's issue loop.
-func issueSelect(flags []uint8, q *issueQueue, cycle int64,
-	intBudget, fpBudget int, preSel bool, sel []int32) ([]int32, int64, int, int) {
-
+// at which this queue could select anything, given what this scan saw. A
+// scheduled entry contributes its ready time; an entry that was ready but
+// lost to a budget or a missing latch (it stays resident) forces cycle+1,
+// and so does a ready entry met once both budgets are spent, which ends
+// the scan. Entries still awaiting a producer contribute nothing — the
+// wakeup delivery that schedules them lowers the queue's bound at
+// delivery time. Wake
+// deliveries always land beyond the current cycle (every resolved latency
+// is at least one cycle), so the bound being a true lower bound means
+// skipped scans select exactly what a real scan would have: nothing.
+// Partitioned selection never reads the bound.
+func selectReady(flags []uint8, q *issueQueue, cycle int64, budget *[2]int, preSel bool, sel []int32) ([]int32, int64) {
 	nextReady := int64(pending)
 	ready := q.ready
-	if preSel {
-		// Partitioned selection latches gate eligibility beyond stage 1,
-		// so the scan walks every slot the old-fashioned way. These
-		// queues compact eagerly: resident slots are always un-issued.
-		for wi := range ready {
-			if intBudget == 0 && fpBudget == 0 {
-				nextReady = cycle + 1
-				break
-			}
-			if r := ready[wi]; r > cycle {
-				if r < nextReady {
-					nextReady = r
-				}
-				continue
-			}
-			e := &q.entries[wi]
-			// Instructions beyond stage 1 are only eligible if a
-			// pre-selection block latched them last cycle.
-			if wi >= q.segSize && !e.preSelected {
-				nextReady = cycle + 1
-				continue
-			}
-			if flags[e.idx]&dFP != 0 {
-				if fpBudget == 0 {
-					nextReady = cycle + 1
-					continue
-				}
-				fpBudget--
-			} else {
-				if intBudget == 0 {
-					nextReady = cycle + 1
-					continue
-				}
-				intBudget--
-			}
-			sel = append(sel, e.idx)
-		}
-		return sel, nextReady, intBudget, fpBudget
-	}
-
-	// Sparse scan of the unified window: only fully scheduled entries
-	// (sched bit set) can be selectable, and the bitmap walks them
-	// oldest-first. Entries still awaiting a producer contribute nothing to
-	// the next-ready bound (the wakeup delivery that schedules them lowers
-	// it at delivery time), and tombstones have no bit, so neither costs a
-	// slot visit.
 	for k, w := range q.sched[:uint(len(ready)+63)>>6] {
 		for w != 0 {
-			if intBudget == 0 && fpBudget == 0 {
-				return sel, cycle + 1, intBudget, fpBudget
-			}
 			wi := k<<6 + bits.TrailingZeros64(w)
 			w &= w - 1
 			if r := ready[wi]; r > cycle {
@@ -877,24 +763,20 @@ func issueSelect(flags []uint8, q *issueQueue, cycle int64,
 				}
 				continue
 			}
-			e := &q.entries[wi]
-			if flags[e.idx]&dFP != 0 {
-				if fpBudget == 0 {
-					nextReady = cycle + 1
-					continue
-				}
-				fpBudget--
-			} else {
-				if intBudget == 0 {
-					nextReady = cycle + 1
-					continue
-				}
-				intBudget--
+			if budget[0] == 0 && budget[1] == 0 {
+				return sel, cycle + 1
 			}
+			e := &q.entries[wi]
+			cls := flags[e.idx] & dFP
+			if budget[cls] == 0 || preSel && wi >= q.segSize && !e.preSelected {
+				nextReady = cycle + 1
+				continue
+			}
+			budget[cls]--
 			sel = append(sel, e.idx)
 		}
 	}
-	return sel, nextReady, intBudget, fpBudget
+	return sel, nextReady
 }
 
 // markPreSelections implements the Figure 12 pre-selection blocks: each

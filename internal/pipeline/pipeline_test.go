@@ -34,8 +34,8 @@ func paramsAt(useful float64) Params {
 
 func TestRunDeterministic(t *testing.T) {
 	tr := getTrace(t, "176.gcc", 40000)
-	a := Run(paramsAt(6), tr)
-	b := Run(paramsAt(6), tr)
+	a := RunWith(paramsAt(6), tr, nil)
+	b := RunWith(paramsAt(6), tr, nil)
 	if a != b {
 		t.Errorf("identical runs differ: %+v vs %+v", a, b)
 	}
@@ -44,7 +44,7 @@ func TestRunDeterministic(t *testing.T) {
 func TestIPCWithinPhysicalBounds(t *testing.T) {
 	for _, name := range []string{"176.gcc", "171.swim", "177.mesa"} {
 		tr := getTrace(t, name, 40000)
-		s := Run(paramsAt(6), tr)
+		s := RunWith(paramsAt(6), tr, nil)
 		if s.IPC <= 0 || s.IPC > 6 {
 			t.Errorf("%s: IPC = %v outside (0, issue width]", name, s.IPC)
 		}
@@ -56,11 +56,11 @@ func TestIPCWithinPhysicalBounds(t *testing.T) {
 
 func TestOutOfOrderBeatsInOrder(t *testing.T) {
 	tr := getTrace(t, "176.gcc", 40000)
-	ooo := Run(paramsAt(6), tr)
+	ooo := RunWith(paramsAt(6), tr, nil)
 
 	p := paramsAt(6)
 	p.Machine.InOrder = true
-	ino := Run(p, tr)
+	ino := RunWith(p, tr, nil)
 	if ooo.IPC <= ino.IPC {
 		t.Errorf("OoO IPC (%.3f) not above in-order IPC (%.3f)", ooo.IPC, ino.IPC)
 	}
@@ -73,7 +73,7 @@ func TestDeeperClockLowersIPC(t *testing.T) {
 		tr := getTrace(t, name, 40000)
 		prev := -1.0
 		for _, u := range []float64{2, 4, 6, 8, 12, 16} {
-			s := Run(paramsAt(u), tr)
+			s := RunWith(paramsAt(u), tr, nil)
 			if prev > 0 && s.IPC <= prev {
 				t.Errorf("%s: IPC did not increase from deeper to shallower at t=%v", name, u)
 			}
@@ -84,7 +84,7 @@ func TestDeeperClockLowersIPC(t *testing.T) {
 
 func TestCriticalLoopExtensionsHurt(t *testing.T) {
 	tr := getTrace(t, "176.gcc", 40000)
-	base := Run(paramsAt(6), tr).IPC
+	base := RunWith(paramsAt(6), tr, nil).IPC
 	for name, mod := range map[string]func(*Params){
 		"wakeup":    func(p *Params) { p.ExtraWakeup = 4 },
 		"load-use":  func(p *Params) { p.ExtraLoadUse = 4 },
@@ -92,7 +92,7 @@ func TestCriticalLoopExtensionsHurt(t *testing.T) {
 	} {
 		p := paramsAt(6)
 		mod(&p)
-		if got := Run(p, tr).IPC; got >= base {
+		if got := RunWith(p, tr, nil).IPC; got >= base {
 			t.Errorf("extending %s loop did not lower IPC (%.3f vs %.3f)", name, got, base)
 		}
 	}
@@ -107,7 +107,7 @@ func TestIssueWakeupMostCritical(t *testing.T) {
 	ipc := func(mod func(*Params)) float64 {
 		p := base
 		mod(&p)
-		return Run(p, tr).IPC
+		return RunWith(p, tr, nil).IPC
 	}
 	w := ipc(func(p *Params) { p.ExtraWakeup = 8 })
 	l := ipc(func(p *Params) { p.ExtraLoadUse = 8 })
@@ -127,7 +127,7 @@ func TestSegmentedWindowMonotone(t *testing.T) {
 	for stages := 1; stages <= 10; stages++ {
 		p := base
 		p.WindowStages = stages
-		got := Run(p, tr).IPC
+		got := RunWith(p, tr, nil).IPC
 		if stages == 1 {
 			first = got
 		}
@@ -156,8 +156,8 @@ func TestSegmentationBeatsNaivePipelining(t *testing.T) {
 	naive.WindowStages = 4
 	naive.NaivePipelining = true
 
-	segIPC := Run(seg, tr).IPC
-	naiveIPC := Run(naive, tr).IPC
+	segIPC := RunWith(seg, tr, nil).IPC
+	naiveIPC := RunWith(naive, tr, nil).IPC
 	if segIPC <= naiveIPC {
 		t.Errorf("segmented (%.3f) not better than naive pipelining (%.3f)", segIPC, naiveIPC)
 	}
@@ -171,11 +171,11 @@ func TestPreSelectCostsLittle(t *testing.T) {
 	m.UnifiedWindow = 32
 	base := Params{Machine: m, Timing: config.Alpha21264Timing(), Warmup: 8000}
 
-	conv := Run(base, tr).IPC
+	conv := RunWith(base, tr, nil).IPC
 	sel := base
 	sel.WindowStages = 4
 	sel.PreSelect = []int{5, 2, 1}
-	got := Run(sel, tr).IPC
+	got := RunWith(sel, tr, nil).IPC
 	rel := got / conv
 	if rel >= 1.0 || rel < 0.80 {
 		t.Errorf("partitioned select relative IPC = %.3f, want a small loss", rel)
@@ -184,20 +184,20 @@ func TestPreSelectCostsLittle(t *testing.T) {
 
 func TestPerfectMemoryHelps(t *testing.T) {
 	tr := getTrace(t, "181.mcf", 40000)
-	base := Run(paramsAt(6), tr).IPC
+	base := RunWith(paramsAt(6), tr, nil).IPC
 	p := paramsAt(6)
 	p.Machine.PerfectMemory = true
-	if got := Run(p, tr).IPC; got <= base {
+	if got := RunWith(p, tr, nil).IPC; got <= base {
 		t.Errorf("perfect memory did not help mcf (%.3f vs %.3f)", got, base)
 	}
 }
 
 func TestPerfectBranchesHelp(t *testing.T) {
 	tr := getTrace(t, "176.gcc", 40000)
-	base := Run(paramsAt(6), tr)
+	base := RunWith(paramsAt(6), tr, nil)
 	p := paramsAt(6)
 	p.Machine.PerfectBranches = true
-	got := Run(p, tr)
+	got := RunWith(p, tr, nil)
 	if got.IPC <= base.IPC {
 		t.Errorf("perfect branches did not help gcc (%.3f vs %.3f)", got.IPC, base.IPC)
 	}
@@ -208,18 +208,18 @@ func TestPerfectBranchesHelp(t *testing.T) {
 
 func TestSmallerWindowLowersIPC(t *testing.T) {
 	tr := getTrace(t, "171.swim", 40000)
-	base := Run(paramsAt(6), tr).IPC
+	base := RunWith(paramsAt(6), tr, nil).IPC
 	p := paramsAt(6)
 	p.Machine.IntWindow = 4
 	p.Machine.FPWindow = 4
-	if got := Run(p, tr).IPC; got >= base {
+	if got := RunWith(p, tr, nil).IPC; got >= base {
 		t.Errorf("tiny window did not lower IPC (%.3f vs %.3f)", got, base)
 	}
 }
 
 func TestLoadStatsAccountAllLoads(t *testing.T) {
 	tr := getTrace(t, "176.gcc", 40000)
-	s := Run(paramsAt(6), tr)
+	s := RunWith(paramsAt(6), tr, nil)
 	var loads uint64
 	for _, in := range tr.Insts {
 		if in.Class.String() == "load" {
@@ -235,8 +235,8 @@ func TestInOrderDeterministicAndBounded(t *testing.T) {
 	tr := getTrace(t, "252.eon", 40000)
 	p := paramsAt(6)
 	p.Machine.InOrder = true
-	a := Run(p, tr)
-	b := Run(p, tr)
+	a := RunWith(p, tr, nil)
+	b := RunWith(p, tr, nil)
 	if a != b {
 		t.Error("in-order runs differ")
 	}
@@ -255,7 +255,7 @@ func TestEmptyTracePanics(t *testing.T) {
 					t.Errorf("inorder=%v: expected panic on empty trace", inorder)
 				}
 			}()
-			Run(p, &trace.Trace{Name: "empty"})
+			RunWith(p, &trace.Trace{Name: "empty"}, nil)
 		}()
 	}
 }
@@ -264,7 +264,7 @@ func TestCrayMachineRunsFlat(t *testing.T) {
 	tr := getTrace(t, "176.gcc", 40000)
 	m := config.Cray1SMemorySystem()
 	clk := fo4.Clock{Useful: 6, Overhead: fo4.PaperOverhead}
-	s := Run(Params{Machine: m, Timing: m.Resolve(clk), Warmup: 8000}, tr)
+	s := RunWith(Params{Machine: m, Timing: m.Resolve(clk), Warmup: 8000}, tr, nil)
 	if s.L1Hits != 0 || s.L2Hits != 0 {
 		t.Errorf("Cray mode recorded cache hits: L1=%d L2=%d", s.L1Hits, s.L2Hits)
 	}

@@ -1,14 +1,12 @@
 package pipeline
 
 import (
-	"sync"
-
 	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
-// Scratch is the reusable simulation state of one Run: the
+// Scratch is the reusable simulation state of one RunWith lane: the
 // per-instruction timestamp arenas, issue-queue storage, selection and
 // pre-selection scratch, the frontend ring buffer, and the (resettable)
 // branch predictor and cache hierarchy. A fresh Scratch is valid; reuse
@@ -21,10 +19,10 @@ import (
 // point: every lane of a RunBatch call runs on the same Scratch (the
 // slots of a BatchScratch all alias one), and the sweep engine and the
 // serving scheduler keep one BatchScratch per running task, borrowed
-// from internal/core's idle list and reused across calls; plain Run
-// borrows one from a package pool. Traces stay immutable throughout: a
-// Scratch holds simulator-private state and the decode derived from the
-// call's trace, never a reference to the trace itself.
+// from internal/core's idle list and reused across calls; a nil Scratch
+// passed to RunWith is a fresh one for that call. Traces stay immutable
+// throughout: a Scratch holds simulator-private state and the decode
+// derived from the call's trace, never a reference to the trace itself.
 type Scratch struct {
 	// dec is the depth-invariant decode (and consumer index) of the
 	// current call's trace, rebuilt by each RunWith or RunBatch call.
@@ -39,9 +37,8 @@ type Scratch struct {
 	queuePos []int32 // queue-tagged issue-queue position (see qposMask), -1 while absent
 
 	queueStore [2]issueQueue
-	queueRefs  []*issueQueue // reused header for the active queue set
 
-	selected []int32 // issueSelect output scratch
+	selected []int32 // selectReady output scratch
 	quota    []int   // markPreSelections quota scratch
 
 	// fetchReady[i] is the cycle instruction i clears the frontend
@@ -100,27 +97,21 @@ func (s *Scratch) arenas(n int) {
 	}
 }
 
-// queues configures the run's issue-queue set out of the scratch storage:
-// the 21264's split integer/FP queues, or one shared window when
+// queues configures the run's issue-queue set out of the scratch storage
+// and returns it indexed by dFP, with the number of distinct queues: the
+// 21264's split integer/FP queues, or one shared window (both slots) when
 // UnifiedWindow is set.
-func (s *Scratch) queues(m config.Machine, stages int) []*issueQueue {
-	if s.queueRefs == nil {
-		s.queueRefs = make([]*issueQueue, 0, len(s.queueStore))
-	}
-	qs := s.queueRefs[:0]
+func (s *Scratch) queues(m config.Machine, stages int) ([2]*issueQueue, int) {
 	if m.UnifiedWindow > 0 {
 		s.queueStore[0].reset(m.UnifiedWindow, stages)
-		qs = append(qs, &s.queueStore[0])
-	} else {
-		if m.IntWindow <= 0 || m.FPWindow <= 0 {
-			panic("pipeline: machine needs issue-queue capacities")
-		}
-		s.queueStore[0].reset(m.IntWindow, stages)
-		s.queueStore[1].reset(m.FPWindow, stages)
-		qs = append(qs, &s.queueStore[0], &s.queueStore[1])
+		return [2]*issueQueue{&s.queueStore[0], &s.queueStore[0]}, 1
 	}
-	s.queueRefs = qs
-	return qs
+	if m.IntWindow <= 0 || m.FPWindow <= 0 {
+		panic("pipeline: machine needs issue-queue capacities")
+	}
+	s.queueStore[0].reset(m.IntWindow, stages)
+	s.queueStore[1].reset(m.FPWindow, stages)
+	return [2]*issueQueue{&s.queueStore[0], &s.queueStore[1]}, 2
 }
 
 // selScratch returns the per-cycle selection scratch, emptied, with
@@ -196,7 +187,3 @@ func (s *Scratch) warmTemplate(m config.Machine) *mem.Hierarchy {
 	}
 	return s.warmTmpl
 }
-
-// scratchPool serves direct Run callers that do not manage their own
-// per-worker Scratch (examples, tests, one-off simulations).
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}

@@ -36,7 +36,7 @@ func alphaParams() Params {
 func TestChainIPCBoundedByLatency(t *testing.T) {
 	// A strict single-cycle chain can never exceed IPC 1 and should get
 	// close to it on the Alpha-latency machine (back-to-back issue).
-	s := Run(alphaParams(), chainTrace(20000))
+	s := RunWith(alphaParams(), chainTrace(20000), nil)
 	if s.IPC > 1.001 {
 		t.Errorf("chain IPC = %.3f, above the dataflow bound of 1", s.IPC)
 	}
@@ -48,7 +48,7 @@ func TestChainIPCBoundedByLatency(t *testing.T) {
 func TestIndependentCodeReachesIssueWidth(t *testing.T) {
 	// Fully independent ALU operations should saturate the 4-wide integer
 	// issue (fetch is also 4-wide, so 4 is the machine bound).
-	s := Run(alphaParams(), independentTrace(20000))
+	s := RunWith(alphaParams(), independentTrace(20000), nil)
 	if s.IPC < 3.5 || s.IPC > 4.001 {
 		t.Errorf("independent IPC = %.3f, want ~4 (issue width)", s.IPC)
 	}
@@ -62,13 +62,13 @@ func TestNaivePipeliningSlowsChainByDepth(t *testing.T) {
 	p.Machine.UnifiedWindow = 32
 	p.WindowStages = 4
 	p.NaivePipelining = true
-	naive := Run(p, chainTrace(10000))
+	naive := RunWith(p, chainTrace(10000), nil)
 	if naive.IPC > 0.27 || naive.IPC < 0.2 {
 		t.Errorf("naive 4-stage chain IPC = %.3f, want ~0.25", naive.IPC)
 	}
 
 	p.NaivePipelining = false
-	seg := Run(p, chainTrace(10000))
+	seg := RunWith(p, chainTrace(10000), nil)
 	if seg.IPC < 0.9 {
 		t.Errorf("segmented chain IPC = %.3f; stage-1 back-to-back issue lost", seg.IPC)
 	}
@@ -91,9 +91,9 @@ func TestSegmentedWindowPenalizesDistantDependents(t *testing.T) {
 	}
 	p := alphaParams()
 	p.Machine.UnifiedWindow = 32
-	base := Run(p, tr)
+	base := RunWith(p, tr, nil)
 	p.WindowStages = 8
-	seg := Run(p, tr)
+	seg := RunWith(p, tr, nil)
 	if seg.IPC > base.IPC {
 		t.Errorf("segmentation improved IPC (%.3f > %.3f)", seg.IPC, base.IPC)
 	}
@@ -127,10 +127,10 @@ func TestPreSelectQuotasRespected(t *testing.T) {
 	p.Machine.UnifiedWindow = 32
 	p.WindowStages = 4
 	p.PreSelect = []int{0, 0, 0}
-	zero := Run(p, tr)
+	zero := RunWith(p, tr, nil)
 
 	p.PreSelect = []int{5, 2, 1}
-	some := Run(p, tr)
+	some := RunWith(p, tr, nil)
 	if zero.IPC >= some.IPC {
 		t.Errorf("pre-select quotas did not help (%.3f vs %.3f)", zero.IPC, some.IPC)
 	}
@@ -140,10 +140,10 @@ func TestUnifiedWindowMatchesSplitOnIntOnlyCode(t *testing.T) {
 	// Integer-only code never touches the FP queue: a unified window of
 	// the same total size should perform at least as well as the split.
 	tr := independentTrace(20000)
-	split := Run(alphaParams(), tr)
+	split := RunWith(alphaParams(), tr, nil)
 	p := alphaParams()
 	p.Machine.UnifiedWindow = 35
-	unified := Run(p, tr)
+	unified := RunWith(p, tr, nil)
 	if unified.IPC < split.IPC*0.98 {
 		t.Errorf("unified window slower (%.3f) than split (%.3f) on int-only code",
 			unified.IPC, split.IPC)
@@ -161,7 +161,7 @@ func TestLoadChainGatedByDL1Latency(t *testing.T) {
 	}
 	tr.PrefetchCoverage = 1
 	p := alphaParams() // DL1 = 3 cycles on the 21264
-	s := Run(p, tr)
+	s := RunWith(p, tr, nil)
 	want := 1.0 / 3
 	if s.IPC > want*1.05 || s.IPC < want*0.85 {
 		t.Errorf("pointer-chase IPC = %.3f, want ~%.3f (1/DL1)", s.IPC, want)

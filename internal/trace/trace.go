@@ -74,7 +74,7 @@ type Inst struct {
 //
 // A Trace is immutable once Generate returns: simulators only read it, and
 // the sweep engine (internal/core) relies on that to share one instance
-// across concurrent pipeline.Run calls and to cache generated traces
+// across concurrent pipeline.RunBatch calls and to cache generated traces
 // process-wide. Code that needs a variant of a trace must clone it (see
 // WithPrefetchCoverage) instead of mutating a shared instance.
 type Trace struct {

@@ -104,8 +104,9 @@ type (
 	SimStats = pipeline.Stats
 )
 
-// Simulate runs one trace through the configured pipeline.
-func Simulate(p SimParams, tr *Trace) SimStats { return pipeline.Run(p, tr) }
+// Simulate runs one trace through the configured pipeline on fresh
+// simulation state.
+func Simulate(p SimParams, tr *Trace) SimStats { return pipeline.RunWith(p, tr, nil) }
 
 // The depth-sweep methodology (the paper's primary contribution).
 type (
