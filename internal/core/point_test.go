@@ -183,3 +183,20 @@ func FuzzCacheKey(f *testing.F) {
 		}
 	})
 }
+
+// TestPointLookupAllocations pins the admission path's allocation
+// budget: resolving a benchmark reads the shared suite without copying
+// it, and Key's only allocation is the returned string.
+func TestPointLookupAllocations(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { ProfileByName("176.gcc") }); n != 0 {
+		t.Errorf("ProfileByName allocates %v times per call, want 0", n)
+	}
+	o := PointOptions{
+		Machine: "inorder", Benchmark: "mcf", Useful: 6.5, OverheadFO4: NoOverhead,
+		Window: 32, WindowStages: 3, PreSelect: []int{8, 16}, NaivePipelining: true,
+		Instructions: 20000, Warmup: NoWarmup, Seed: 1 << 63,
+	}
+	if n := testing.AllocsPerRun(100, func() { o.Key("v") }); n != 1 {
+		t.Errorf("Key allocates %v times per call, want 1", n)
+	}
+}

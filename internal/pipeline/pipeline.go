@@ -422,7 +422,10 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, wa
 		}
 
 		// ---- Dispatch from the frontend queue into the issue queues.
+		// stalled names the stall counter a dispatch blocked on window or
+		// ROB space bumped, nil when it was not so blocked.
 		dispatchedNow := 0
+		var stalled *uint64
 		for dispIdx < fetchIdx && dispatchedNow < m.FetchWidth {
 			if fetchReady[dispIdx] > cycle {
 				break
@@ -431,11 +434,13 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, wa
 			qsel := flags[di] & dFP
 			q := qpair[qsel]
 			if q.live >= q.cap {
-				stats.WindowFullStalls++
+				stalled = &stats.WindowFullStalls
+				*stalled++
 				break
 			}
 			if dispIdx-head >= m.ROB {
-				stats.ROBFullStalls++
+				stalled = &stats.ROBFullStalls
+				*stalled++
 				break
 			}
 			if len(q.entries) == cap(q.entries) {
@@ -537,11 +542,13 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, wa
 		// (commit), each queue's next-ready bound (issue — a true lower
 		// bound, see selectReady), the frontend queue's head arrival
 		// (dispatch; a dispatch blocked on window or ROB space instead
-		// waits on an issue or commit, which the first two bounds cover),
-		// and the blocking branch's resolution (fetch). Jumping to the
-		// earliest bound skips exactly the cycles the loop would have
-		// walked through doing nothing — mispredict stalls and long memory
-		// waits — after accounting their per-cycle statistics in bulk.
+		// waits on an issue or commit, which the first two bounds cover,
+		// so its arrival, already past, is no bound), and the blocking
+		// branch's resolution (fetch). Jumping to the earliest bound skips
+		// exactly the cycles the loop would have walked through doing
+		// nothing — mispredict stalls, long memory waits and the
+		// structural dispatch stalls behind them — after accounting their
+		// per-cycle statistics in bulk.
 		// Partitioned selection couples consecutive cycles through its
 		// latches, so it never skips.
 		if committed == 0 && dispatchedNow == 0 && !fetched && !resumed &&
@@ -556,7 +563,7 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, wa
 			if nq == 2 && fpQ.nextReady < next {
 				next = fpQ.nextReady
 			}
-			if dispIdx < fetchIdx {
+			if dispIdx < fetchIdx && stalled == nil {
 				if r := fetchReady[dispIdx]; r < next {
 					next = r
 				}
@@ -570,6 +577,9 @@ func runOutOfOrder(p Params, tr *trace.Trace, scr *Scratch, dec *traceDecode, wa
 				stats.SumWindowOcc += uint64(resident) * skipped
 				if fetchBlock >= 0 {
 					stats.FetchBlockedCycles += skipped
+				}
+				if stalled != nil {
+					*stalled += skipped
 				}
 				cycle = next
 			}

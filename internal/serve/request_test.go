@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -193,5 +194,42 @@ func TestPointsCodeVersionChangesKeys(t *testing.T) {
 	}
 	if k1[0] == k2[0] {
 		t.Error("cache key ignores the code version")
+	}
+}
+
+// allocGrids are the two admission shapes the serving path sees most: a
+// small client grid and the paper's full Figure 5 grid (2..16 FO4 over
+// all 18 benchmarks).
+var allocGrids = []struct {
+	name   string
+	req    SweepRequest
+	points int
+}{
+	{"8-point", SweepRequest{Useful: []float64{4, 6, 8, 10}, Benchmarks: []string{"gcc", "swim"}, Instructions: 20000, Seed: 7}, 8},
+	{"270-point", SweepRequest{UsefulMin: 2, UsefulMax: 16, Instructions: 20000, Seed: 7}, 270},
+}
+
+// TestPointsAllocationsPerPoint bounds what admission allocates per
+// point: the key string plus the amortized growth of the point, key
+// and dedup tables, on both grid shapes.
+func TestPointsAllocationsPerPoint(t *testing.T) {
+	for _, g := range allocGrids {
+		run := func() {
+			if pts, _, err := g.req.Points("v", Limits{}); err != nil || len(pts) != g.points {
+				t.Fatalf("%s: %d points, err %v; want %d", g.name, len(pts), err, g.points)
+			}
+		}
+		const runs = 20
+		allocs := testing.AllocsPerRun(runs, run) / float64(g.points)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(g.points)
+		if allocs > 3 || bytes > 1024 {
+			t.Errorf("%s: Points costs %.2f allocs and %.0f B per point, want <= 3 and <= 1024", g.name, allocs, bytes)
+		}
 	}
 }

@@ -398,7 +398,7 @@ func TestStreamErrorLine(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	rec := httptest.NewRecorder()
-	srv.streamError(rec, nil, "k123", errors.New("boom"))
+	srv.streamError(rec, "k123", errors.New("boom"))
 	if got, want := rec.Body.String(), `{"error":"boom","key":"k123"}`+"\n"; got != want {
 		t.Fatalf("streamError line = %q, want %q", got, want)
 	}

@@ -17,7 +17,7 @@ import (
 
 // newTestServer starts a Server over httptest and tears both down with
 // the test.
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(cfg)
 	ts := httptest.NewServer(srv)

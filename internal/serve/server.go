@@ -306,31 +306,39 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	ctx := r.Context()
 
+	// Lines go out in buffer-sized writes and are flushed only before the
+	// stream would block: a resolved ticket never waits, so a fully cached
+	// sweep is flushed by net/http when the handler returns, while a
+	// pending job first pushes every line already written to the client.
 	for i, t := range tickets {
 		line := t.line
 		if t.job != nil {
 			select {
 			case <-t.job.done:
-				if t.job.err != nil {
-					// Validated points only fail on should-never-happen
-					// internal errors; surface them without caching.
-					s.streamError(w, flusher, t.job.key, t.job.err)
-					continue
+			default:
+				if flusher != nil {
+					flusher.Flush()
 				}
-				line = t.job.line
-			case <-ctx.Done():
-				s.disconnect(tickets[i:])
-				return
+				select {
+				case <-t.job.done:
+				case <-ctx.Done():
+					s.disconnect(tickets[i:])
+					return
+				}
 			}
+			if t.job.err != nil {
+				// Validated points only fail on should-never-happen
+				// internal errors; surface them without caching.
+				s.streamError(w, t.job.key, t.job.err)
+				continue
+			}
+			line = t.job.line
 		}
 		// line is newline-terminated and shared across streams; it must be
 		// written as-is, never appended to.
 		if _, err := w.Write(line); err != nil {
 			s.disconnect(tickets[i+1:])
 			return
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 	}
 	// Trailer: lets clients distinguish a complete stream from a dropped
@@ -340,12 +348,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamError emits a non-cached error line for one point.
-func (s *Server) streamError(w http.ResponseWriter, flusher http.Flusher, key string, err error) {
+func (s *Server) streamError(w http.ResponseWriter, key string, err error) {
 	line, _ := json.Marshal(map[string]string{"key": key, "error": err.Error()})
 	w.Write(append(line, '\n'))
-	if flusher != nil {
-		flusher.Flush()
-	}
 }
 
 // disconnect releases every unconsumed ticket of a request whose client
@@ -527,15 +532,14 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
+	// Records are read straight from the log and never wait on one
+	// another, so they go out in buffer-sized writes with no per-record
+	// flush.
 	enc := json.NewEncoder(w)
 	last, records := since, 0
 	err := s.delta.Since(since, func(d store.Delta) error {
 		if err := enc.Encode(deltaLine{Cursor: d.Cursor, Result: json.RawMessage(bytes.TrimSuffix(d.Line, []byte("\n")))}); err != nil {
 			return err
-		}
-		if flusher != nil {
-			flusher.Flush()
 		}
 		last, records = d.Cursor, records+1
 		return nil

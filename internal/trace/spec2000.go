@@ -1,6 +1,12 @@
 package trace
 
-import "repro/internal/isa"
+import (
+	"strings"
+	"unicode"
+	"unicode/utf8"
+
+	"repro/internal/isa"
+)
 
 // This file holds the calibrated profiles for the 18 SPEC 2000 benchmarks
 // of Table 2. The parameters are not measurements of the real binaries —
@@ -27,8 +33,19 @@ func mix(alu, mult, fadd, fmul, fdiv, fsqrt, ld, st, br float64) [isa.NumClasses
 }
 
 // SPEC2000 returns the full benchmark suite of Table 2: nine integer, four
-// vector floating-point and five non-vector floating-point profiles.
+// vector floating-point and five non-vector floating-point profiles. The
+// slice is the caller's own copy of the shared suite.
 func SPEC2000() []Profile {
+	return append([]Profile(nil), suite...)
+}
+
+// suite is Table 2, built once. It is never written after package
+// initialization, so the lookups below read it concurrently and
+// allocate nothing; SPEC2000 and ByGroup hand out copies.
+var suite = table2()
+
+// table2 builds the 18 profiles of Table 2.
+func table2() []Profile {
 	return []Profile{
 		// ---- Integer ----
 		{
@@ -164,10 +181,11 @@ func SPEC2000() []Profile {
 	}
 }
 
-// ByGroup returns the subset of profiles in group g.
+// ByGroup returns the subset of profiles in group g, in suite order, as
+// a slice the caller owns.
 func ByGroup(g Group) []Profile {
 	var out []Profile
-	for _, p := range SPEC2000() {
+	for _, p := range suite {
 		if p.Group == g {
 			out = append(out, p)
 		}
@@ -175,12 +193,36 @@ func ByGroup(g Group) []Profile {
 	return out
 }
 
-// ByName returns the profile with the given name.
+// ByName resolves a Table 2 benchmark by its full name ("176.gcc") or
+// its bare name after the SPEC number ("gcc"), ignoring case and
+// surrounding space. It is the suite's only resolver and allocates
+// nothing.
 func ByName(name string) (Profile, bool) {
-	for _, p := range SPEC2000() {
-		if p.Name == name {
-			return p, true
+	name = strings.TrimSpace(name)
+	for i := range suite {
+		if suite[i].Name == name {
+			return suite[i], true
+		}
+	}
+	for i := range suite {
+		full := suite[i].Name
+		if lowerEquals(name, full) || lowerEquals(name, full[strings.IndexByte(full, '.')+1:]) {
+			return suite[i], true
 		}
 	}
 	return Profile{}, false
+}
+
+// lowerEquals reports whether strings.ToLower(s) == lower for an ASCII
+// lowercase lower, rune by rune and without building the lowered copy.
+func lowerEquals(s, lower string) bool {
+	i := 0
+	for _, r := range s {
+		r = unicode.ToLower(r)
+		if r >= utf8.RuneSelf || i == len(lower) || byte(r) != lower[i] {
+			return false
+		}
+		i++
+	}
+	return i == len(lower)
 }

@@ -231,3 +231,44 @@ func TestGenerateAllocatesOnlyTheTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestSuiteCopiesAreOwned pins that the slices SPEC2000 and ByGroup hand
+// out are the caller's: writing through them must not reach the shared
+// suite a later lookup reads.
+func TestSuiteCopiesAreOwned(t *testing.T) {
+	want, _ := ByName("176.gcc")
+	all := SPEC2000()
+	for i := range all {
+		all[i].Name = "clobbered"
+		all[i].DepDistMean = -1
+	}
+	ints := ByGroup(Integer)
+	ints[2].LoopTrip = -1
+	got, ok := ByName("176.gcc")
+	if !ok || got != want {
+		t.Fatalf("ByName after mutating returned copies = %+v, %v; want %+v", got, ok, want)
+	}
+	if fresh := SPEC2000(); fresh[2] != want {
+		t.Errorf("SPEC2000()[2] after mutating an earlier copy = %+v, want %+v", fresh[2], want)
+	}
+}
+
+func TestByNameSpellings(t *testing.T) {
+	for _, name := range []string{"176.gcc", "gcc", "GCC", " 176.GCC\t", "Gcc"} {
+		if p, ok := ByName(name); !ok || p.Name != "176.gcc" {
+			t.Errorf("ByName(%q) = %q, %v; want 176.gcc", name, p.Name, ok)
+		}
+	}
+	// Case folds as strings.ToLower does, so the Kelvin sign lowers to k.
+	if p, ok := ByName("PERLBM\u212A"); !ok || p.Name != "253.perlbmk" {
+		t.Errorf("ByName(PERLBM<Kelvin sign>) = %q, %v; want 253.perlbmk", p.Name, ok)
+	}
+	for _, name := range []string{"", "176", "176.", "999.gcc", "gccx", "176.gcc.gcc", "gçc"} {
+		if p, ok := ByName(name); ok {
+			t.Errorf("ByName(%q) resolved to %q; want no match", name, p.Name)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { ByName(" Swim ") }); n != 0 {
+		t.Errorf("ByName allocates %v times per call, want 0", n)
+	}
+}

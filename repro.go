@@ -87,13 +87,17 @@ const (
 	NonVectorFP = trace.NonVectorFP
 )
 
-// SPEC2000 returns the 18 calibrated benchmark profiles of Table 2.
+// SPEC2000 returns the 18 calibrated benchmark profiles of Table 2, as a
+// copy the caller owns.
 func SPEC2000() []Profile { return trace.SPEC2000() }
 
-// BenchmarksByGroup returns the profiles in one group.
+// BenchmarksByGroup returns the profiles in one group, as a copy the
+// caller owns.
 func BenchmarksByGroup(g Group) []Profile { return trace.ByGroup(g) }
 
-// BenchmarkByName looks a profile up by name (e.g. "176.gcc").
+// BenchmarkByName looks a profile up by its full name ("176.gcc") or its
+// bare name after the SPEC number ("gcc"), ignoring case and surrounding
+// space, as sweepd's benchmark lists do.
 func BenchmarkByName(name string) (Profile, bool) { return trace.ByName(name) }
 
 // Simulation.
