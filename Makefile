@@ -44,14 +44,16 @@ lint-stats:
 
 # A short fuzz pass over the external input surfaces: the shared CLI
 # flag parser, the run-manifest validator, the linter's suppression
-# directive parser, and the /sweep grid parser (where client-controlled
-# floats meet index arithmetic). 10s per target keeps it CI-sized; drop
-# -fuzztime for a real hunt.
+# directive parser, the /sweep grid parser (where client-controlled
+# floats meet index arithmetic), and the point resolver and cache key
+# every /sweep point passes through. 10s per target keeps it CI-sized;
+# drop -fuzztime for a real hunt.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSimFlags -fuzztime 10s ./internal/cliflags
 	$(GO) test -run '^$$' -fuzz FuzzManifestCheck -fuzztime 10s ./cmd/manifestcheck
 	$(GO) test -run '^$$' -fuzz FuzzAllowDirective -fuzztime 10s ./internal/analysis
 	$(GO) test -run '^$$' -fuzz FuzzSweepRequest -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzCacheKey -fuzztime 10s ./internal/core
 
 # A fast pass over the benchmark harness: one iteration each, so every
 # experiment driver executes end to end without the full -bench cost.

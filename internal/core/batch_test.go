@@ -10,6 +10,20 @@ import (
 	"repro/internal/pipeline"
 )
 
+// resolveAll resolves each of opts or fails the test.
+func resolveAll(t testing.TB, opts ...PointOptions) []Point {
+	t.Helper()
+	pts := make([]Point, len(opts))
+	for i, o := range opts {
+		p, err := o.Resolve("v")
+		if err != nil {
+			t.Fatalf("Resolve(%+v): %v", o, err)
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
 // TestSimulateBatchMatchesRunWith pins the serving layer's batch entry
 // point against the per-lane engine: every lane of a mixed grid over one
 // trace must match pipeline.RunWith on that lane's own parameters field
@@ -22,7 +36,7 @@ func TestSimulateBatchMatchesRunWith(t *testing.T) {
 		{Benchmark: "gcc", Useful: 8, Instructions: 5000, Window: 32, WindowStages: 4},
 		{Benchmark: "gcc", Useful: 8, Instructions: 5000, Machine: "inorder"},
 	}
-	got, err := SimulateBatch(opts, nil)
+	got, err := SimulateBatch(resolveAll(t, opts...), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,8 +48,7 @@ func TestSimulateBatchMatchesRunWith(t *testing.T) {
 		o = o.Normalize()
 		prof, _ := ProfileByName(o.Benchmark)
 		tr := cachedTrace(prof, o.Instructions, o.Seed, nil)
-		p, clk := o.params()
-		want := pointResult(pipeline.RunWith(p, tr, sc), tr, clk)
+		want := pointResult(pipeline.RunWith(o.params(), tr, sc), tr, o.Clock())
 		if got[i] != want {
 			t.Errorf("lane %d: batched point diverges from RunWith:\n got %+v\nwant %+v", i, got[i], want)
 		}
@@ -52,15 +65,19 @@ func TestSimulateBatchRejectsMixedTraces(t *testing.T) {
 		{Benchmark: "gcc", Useful: 8, Instructions: 6000},
 		{Benchmark: "gcc", Useful: 8, Instructions: 5000, Seed: 7},
 	} {
-		if _, err := SimulateBatch([]PointOptions{base, bad}, nil); err == nil {
+		if _, err := SimulateBatch(resolveAll(t, base, bad), nil); err == nil {
 			t.Errorf("mixed batch %+v accepted, want error", bad)
 		} else if !strings.Contains(err.Error(), "shares one trace") {
 			t.Errorf("mixed batch error %q does not name the contract", err)
 		}
 	}
-	// Invalid lanes are caught before any simulation, tagged by index.
-	if _, err := SimulateBatch([]PointOptions{base, {Benchmark: "nope", Useful: 6}}, nil); err == nil {
-		t.Error("invalid lane accepted")
+	// An unknown benchmark never becomes a Point, so no batch can hold
+	// it; the zero Point, which Resolve never returns, is refused too.
+	if _, err := (PointOptions{Benchmark: "nope", Useful: 6}).Resolve("v"); err == nil || !strings.Contains(err.Error(), "unknown benchmark") {
+		t.Errorf("Resolve of an unknown benchmark: err = %v, want an unknown-benchmark error", err)
+	}
+	if _, err := SimulateBatch([]Point{{}}, nil); err == nil {
+		t.Error("zero Point accepted")
 	}
 	// An empty batch is a no-op, not an error.
 	if out, err := SimulateBatch(nil, nil); err != nil || out != nil {

@@ -10,6 +10,8 @@ package core
 // key (Key) with the property that semantically equal option values —
 // default-filled versus explicit fields, nil versus empty slices — hash
 // identically, while every meaningful field change alters the hash.
+// Resolve does both once and returns a Point, the normalized, validated
+// and keyed form the serving layer carries from admission to simulation.
 
 import (
 	"crypto/sha256"
@@ -101,12 +103,20 @@ type PointOptions struct {
 // mean the same point always normalize to the same representation, which
 // is what Key hashes.
 func (o PointOptions) Normalize() PointOptions {
+	n, _ := o.normalize()
+	return n
+}
+
+// normalize is Normalize that also reports whether the benchmark
+// resolved to a Table 2 profile, so validate need not resolve it again.
+func (o PointOptions) normalize() (PointOptions, bool) {
 	if c, ok := machineAliases[strings.ToLower(strings.TrimSpace(o.Machine))]; ok {
 		o.Machine = c
 	} else {
 		o.Machine = strings.ToLower(strings.TrimSpace(o.Machine))
 	}
-	if p, ok := ProfileByName(o.Benchmark); ok {
+	p, known := trace.ByName(o.Benchmark)
+	if known {
 		o.Benchmark = p.Name
 	} else {
 		o.Benchmark = strings.ToLower(strings.TrimSpace(o.Benchmark))
@@ -121,7 +131,7 @@ func (o PointOptions) Normalize() PointOptions {
 		o.Warmup = NoWarmup
 	}
 	// A derived warmup can be non-positive (tiny or invalid Instructions
-	// pass through to Validate); fold it onto the sentinel so Normalize
+	// pass through to validate); fold it onto the sentinel so Normalize
 	// stays idempotent and "no warmup" has one canonical spelling.
 	if o.Warmup <= 0 {
 		o.Warmup = NoWarmup
@@ -141,7 +151,7 @@ func (o PointOptions) Normalize() PointOptions {
 	if len(o.PreSelect) == 0 {
 		o.PreSelect = nil
 	}
-	return o
+	return o, known
 }
 
 // MaxUseful is the deepest useful-logic-per-stage value a point may ask
@@ -150,14 +160,14 @@ func (o PointOptions) Normalize() PointOptions {
 // bounded.
 const MaxUseful = 64
 
-// Validate checks a normalized PointOptions; it reports the first
-// problem in request-diagnostic form. Callers that accept external input
-// should Normalize first (Key and the Simulate entry points do both).
-func (o PointOptions) Validate() error {
+// validate checks the output of normalize, whose known flag says
+// whether the benchmark resolved; it reports the first problem in
+// request-diagnostic form.
+func (o PointOptions) validate(known bool) error {
 	if o.Machine != MachineOutOfOrder && o.Machine != MachineInOrder {
 		return fmt.Errorf("unknown machine %q (use %q or %q)", o.Machine, MachineOutOfOrder, MachineInOrder)
 	}
-	if _, ok := ProfileByName(o.Benchmark); !ok {
+	if !known {
 		return fmt.Errorf("unknown benchmark %q (run experiments workload-table for the Table 2 suite)", o.Benchmark)
 	}
 	if o.Useful <= 0 || o.Useful > MaxUseful {
@@ -193,6 +203,38 @@ func (o PointOptions) Validate() error {
 // canonical encoding below changes shape.
 const pointKeySchema = "repro/point/v1"
 
+// Point is a PointOptions that has been normalized and validated once,
+// together with its content key. Its fields are unexported and
+// Resolve is its only constructor, so every Point it returns names a
+// simulatable point; admission, the scheduler and SimulateBatch carry
+// it instead of re-deriving either property.
+type Point struct {
+	opts PointOptions
+	key  string
+}
+
+// Resolve normalizes o once, validates the result and computes its key
+// under codeVersion. It resolves the benchmark once: validation reuses
+// the normalize step's answer.
+func (o PointOptions) Resolve(codeVersion string) (Point, error) {
+	n, known := o.normalize()
+	if err := n.validate(known); err != nil {
+		return Point{}, err
+	}
+	return Point{opts: n, key: n.key(codeVersion)}, nil
+}
+
+// Options returns the point's normalized options. Its PreSelect slice is
+// shared with the point and must not be written.
+func (p Point) Options() PointOptions { return p.opts }
+
+// Key returns the point's content key, equal to Options().Key(codeVersion)
+// for the codeVersion it was resolved under.
+func (p Point) Key() string { return p.key }
+
+// Clock returns the fo4 clock the point runs at.
+func (p Point) Clock() fo4.Clock { return p.opts.clock() }
+
 // Key returns the content address of this point's result: a SHA-256 over
 // the canonical (normalized) option encoding plus the caller's code
 // version. Two PointOptions that mean the same simulation — differing
@@ -202,7 +244,11 @@ const pointKeySchema = "repro/point/v1"
 // appended into a stack buffer, so the returned string is Key's only
 // allocation.
 func (o PointOptions) Key(codeVersion string) string {
-	o = o.Normalize()
+	return o.Normalize().key(codeVersion)
+}
+
+// key is Key's encoder over options that are already normalized.
+func (o PointOptions) key(codeVersion string) string {
 	var buf [256]byte
 	b := append(buf[:0], pointKeySchema...)
 	b = append(b, '\n')
@@ -248,17 +294,24 @@ func ProfileByName(name string) (trace.Profile, bool) {
 	return trace.ByName(name)
 }
 
-// BenchmarkNames returns the Table 2 benchmark names in suite order.
+// BenchmarkNames returns the Table 2 benchmark names in suite order, as
+// a slice the caller owns.
 func BenchmarkNames() []string {
+	return append([]string(nil), benchmarkNames...)
+}
+
+// benchmarkNames is the suite's names, read once so BenchmarkNames
+// copies 18 strings rather than the 18 profiles.
+var benchmarkNames = func() []string {
 	all := trace.SPEC2000()
 	out := make([]string, len(all))
 	for i, p := range all {
 		out[i] = p.Name
 	}
 	return out
-}
+}()
 
-// machine resolves the normalized machine name; Validate has already
+// machine resolves the normalized machine name; validate has already
 // rejected unknown names.
 func (o PointOptions) machine() config.Machine {
 	if o.Machine == MachineInOrder {
@@ -279,25 +332,27 @@ func (o PointOptions) overhead() fo4.Overhead {
 // Clock returns the fo4 clock this point resolves to: its useful logic
 // depth plus the resolved overhead decomposition.
 func (o PointOptions) Clock() fo4.Clock {
-	o = o.Normalize()
+	return o.Normalize().clock()
+}
+
+// clock is Clock over options that are already normalized.
+func (o PointOptions) clock() fo4.Clock {
 	return fo4.Clock{Useful: o.Useful, Overhead: o.overhead()}
 }
 
-// params resolves the point to concrete simulation parameters and its
-// clock.
-func (o PointOptions) params() (pipeline.Params, fo4.Clock) {
+// params resolves normalized options to concrete simulation parameters.
+func (o PointOptions) params() pipeline.Params {
 	m := o.machine()
 	if o.Window > 0 {
 		m.UnifiedWindow = o.Window
 	}
-	clk := fo4.Clock{Useful: o.Useful, Overhead: o.overhead()}
 	warmup := o.Warmup
 	if warmup == NoWarmup {
 		warmup = 0
 	}
 	p := pipeline.Params{
 		Machine:         m,
-		Timing:          m.Resolve(clk),
+		Timing:          m.Resolve(o.clock()),
 		Warmup:          warmup,
 		NaivePipelining: o.NaivePipelining,
 	}
@@ -307,60 +362,60 @@ func (o PointOptions) params() (pipeline.Params, fo4.Clock) {
 	if len(o.PreSelect) > 0 {
 		p.PreSelect = append([]int(nil), o.PreSelect...)
 	}
-	return p, clk
+	return p
 }
 
-// SimulatePoint runs one point and returns its per-benchmark result at
-// the 100nm technology point the paper reports: a one-lane
-// SimulateBatch. rec, when non-nil, receives the trace-cache counters;
+// SimulatePoint resolves o and runs it as a one-lane SimulateBatch,
+// returning its per-benchmark result at the 100nm technology point the
+// paper reports. rec, when non-nil, receives the trace-cache counters;
 // it never influences the result.
 func SimulatePoint(o PointOptions, rec *obs.Recorder) (BenchPoint, error) {
-	out, err := SimulateBatch([]PointOptions{o}, rec)
+	p, err := o.Resolve("")
+	if err != nil {
+		return BenchPoint{}, err
+	}
+	out, err := SimulateBatch([]Point{p}, rec)
 	if err != nil {
 		return BenchPoint{}, err
 	}
 	return out[0], nil
 }
 
-// SimulateBatch simulates every point of opts — all of which must
-// resolve to the same trace (benchmark, instructions, seed) — in one
-// batched pass over that trace: the depth-invariant per-benchmark work
-// is done once and shared through pipeline.RunBatch instead of once per
-// point. out[i] carries exactly the Stats pipeline.RunWith computes for
-// opts[i] on its own; the core batch test pins that equivalence and
-// the serving layer's byte-identity test pins it on the wire. The lanes
-// run on simulation state borrowed from the package's idle list (see
-// runLanes), so concurrent calls are safe and successive calls reuse it.
-func SimulateBatch(opts []PointOptions, rec *obs.Recorder) ([]BenchPoint, error) {
-	if len(opts) == 0 {
+// SimulateBatch simulates every resolved point of pts — all of which
+// must share one trace (benchmark, instructions, seed) — in one batched
+// pass over that trace: the depth-invariant per-benchmark work is done
+// once and shared through pipeline.RunBatch instead of once per point.
+// Points arrive normalized and validated, so the batch derives each
+// lane's Params and resolves the trace's profile once. out[i] carries
+// exactly the Stats pipeline.RunWith computes for pts[i] on its own;
+// the core batch test pins that equivalence and the serving layer's
+// byte-identity test pins it on the wire. The lanes run on simulation
+// state borrowed from the package's idle list (see runLanes), so
+// concurrent calls are safe and successive calls reuse it.
+func SimulateBatch(pts []Point, rec *obs.Recorder) ([]BenchPoint, error) {
+	if len(pts) == 0 {
 		return nil, nil
 	}
-	norm := make([]PointOptions, len(opts))
-	for i, o := range opts {
-		o = o.Normalize()
-		if err := o.Validate(); err != nil {
-			return nil, fmt.Errorf("batch lane %d: %w", i, err)
-		}
-		norm[i] = o
-	}
-	first := norm[0]
-	for i, o := range norm[1:] {
-		if o.Benchmark != first.Benchmark || o.Instructions != first.Instructions || o.Seed != first.Seed {
+	first := pts[0].opts
+	for i, p := range pts[1:] {
+		if o := p.opts; o.Benchmark != first.Benchmark || o.Instructions != first.Instructions || o.Seed != first.Seed {
 			return nil, fmt.Errorf("batch lane %d simulates trace (%s, n=%d, seed=%d) but lane 0 simulates (%s, n=%d, seed=%d); a batch shares one trace",
 				i+1, o.Benchmark, o.Instructions, o.Seed, first.Benchmark, first.Instructions, first.Seed)
 		}
 	}
-	prof, _ := ProfileByName(first.Benchmark)
+	prof, ok := ProfileByName(first.Benchmark)
+	if !ok {
+		return nil, fmt.Errorf("batch lane 0 is not a resolved point (benchmark %q)", first.Benchmark)
+	}
 	tr := cachedTrace(prof, first.Instructions, first.Seed, rec)
-	params := make([]pipeline.Params, len(norm))
-	clocks := make([]fo4.Clock, len(norm))
-	for i, o := range norm {
-		params[i], clocks[i] = o.params()
+	params := make([]pipeline.Params, len(pts))
+	for i, p := range pts {
+		params[i] = p.opts.params()
 	}
 	stats := runLanes(params, tr)
-	out := make([]BenchPoint, len(norm))
+	out := make([]BenchPoint, len(pts))
 	for i := range stats {
-		out[i] = pointResult(stats[i], tr, clocks[i])
+		out[i] = pointResult(stats[i], tr, pts[i].Clock())
 	}
 	return out, nil
 }

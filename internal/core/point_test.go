@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/config"
@@ -116,13 +117,17 @@ func TestValidateRejectsBadPoints(t *testing.T) {
 		{"preselect nonpositive", PointOptions{Benchmark: "gcc", Useful: 8, Window: 32, WindowStages: 3, PreSelect: []int{4, 0}}},
 	}
 	for _, c := range bad {
-		if err := c.o.Normalize().Validate(); err == nil {
-			t.Errorf("%s: Validate accepted %+v", c.name, c.o)
+		if _, err := c.o.Resolve("v"); err == nil {
+			t.Errorf("%s: Resolve accepted %+v", c.name, c.o)
 		}
 	}
-	good := PointOptions{Benchmark: "gcc", Useful: 8}.Normalize()
-	if err := good.Validate(); err != nil {
-		t.Errorf("Validate rejected the default point: %v", err)
+	good := PointOptions{Benchmark: "gcc", Useful: 8}
+	p, err := good.Resolve("v")
+	if err != nil {
+		t.Fatalf("Resolve rejected the default point: %v", err)
+	}
+	if p.Options().Key("v") != p.Key() || p.Options().Benchmark != "176.gcc" {
+		t.Errorf("resolved point %+v is not the normalized default point", p.Options())
 	}
 }
 
@@ -154,9 +159,11 @@ func TestSimulatePointMatchesDepthSweep(t *testing.T) {
 	}
 }
 
-// FuzzCacheKey drives Key with arbitrary field values and checks its two
-// invariants: keys are deterministic under re-normalization (hashing the
-// normalized form must be a fixed point) and well-formed (64 hex chars).
+// FuzzCacheKey drives Key and Resolve with arbitrary field values. Keys
+// are deterministic under re-normalization (hashing the normalized form
+// must be a fixed point) and well-formed (64 hex chars). Resolve
+// succeeds exactly when the normalized options validate, and the Point
+// it returns carries the same key and clock as the options it came from.
 func FuzzCacheKey(f *testing.F) {
 	f.Add("", "gcc", 8.0, 0.0, 0, 0, false, 0, 0, uint64(0))
 	f.Add("ooo", "176.gcc", 8.0, 1.8, 32, 2, false, 60000, 12000, uint64(1))
@@ -180,6 +187,22 @@ func FuzzCacheKey(f *testing.F) {
 		}
 		if nn := n.Normalize(); nn.Key("v") != k1 {
 			t.Fatal("Normalize is not idempotent under Key")
+		}
+		p, err := o.Resolve("v")
+		_, known := ProfileByName(n.Benchmark)
+		if verr := n.validate(known); (err == nil) != (verr == nil) {
+			t.Fatalf("Resolve error %v but the normalized options validate to %v: %+v", err, verr, n)
+		}
+		if err != nil {
+			return
+		}
+		if p.Key() != k1 {
+			t.Fatalf("Point.Key %s differs from Key %s for %+v", p.Key(), k1, o)
+		}
+		// Printed, so that a NaN field (which validate admits) compares
+		// equal to itself.
+		if fmt.Sprint(p.Clock()) != fmt.Sprint(o.Clock()) {
+			t.Fatalf("Point.Clock %+v differs from Clock %+v for %+v", p.Clock(), o.Clock(), o)
 		}
 	})
 }

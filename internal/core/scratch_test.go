@@ -153,16 +153,16 @@ func leakCalls(t *testing.T, bench string, n int) []leakCall {
 		params := make([]pipeline.Params, len(opts))
 		for j := range opts {
 			opts[j].Benchmark, opts[j].Instructions, opts[j].Seed = bench, n, 1
-			params[j], _ = opts[j].Normalize().params()
+			params[j] = opts[j].Normalize().params()
 		}
-		opts := opts
+		pts := resolveAll(t, opts...)
 		calls = append(calls, leakCall{
 			name: fmt.Sprintf("SimulateBatch set %d", i), bench: bench, n: n,
 			run: func() ([]pipeline.Stats, error) {
-				pts, err := SimulateBatch(opts, nil)
-				out := make([]pipeline.Stats, len(pts))
-				for j := range pts {
-					out[j] = pts[j].Stats
+				res, err := SimulateBatch(pts, nil)
+				out := make([]pipeline.Stats, len(res))
+				for j := range res {
+					out[j] = res[j].Stats
 				}
 				return out, err
 			},

@@ -48,17 +48,17 @@ func TestBatchedSweepBytesIdentical(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &req); err != nil {
 		t.Fatal(err)
 	}
-	pts, keys, err := req.Points(srv.cfg.CodeVersion, Limits{})
+	pts, err := req.points(srv.cfg.CodeVersion, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
-	for i, o := range pts {
-		res, err := core.SimulatePoint(o, nil)
+	for _, p := range pts {
+		res, err := core.SimulatePoint(p.Options(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		line, err := json.Marshal(newPointResult(keys[i], o, res))
+		line, err := json.Marshal(newPointResult(p, res))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// Micro-benchmarks for the /sweep read path: admission (Points) on the
+// Micro-benchmarks for the /sweep read path: admission (points) on the
 // two grid shapes of allocGrids, and a hot sweep of the cached paper
 // grid through a real HTTP round trip. ReportAllocs keeps the path's
 // allocation budget visible next to its time.
@@ -18,7 +18,7 @@ func BenchmarkPoints(b *testing.B) {
 		b.Run(g.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := g.req.Points("v", Limits{}); err != nil {
+				if _, err := g.req.points("v", Limits{}); err != nil {
 					b.Fatal(err)
 				}
 			}

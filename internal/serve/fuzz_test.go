@@ -9,6 +9,7 @@ package serve
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -51,46 +52,50 @@ func FuzzSweepRequest(f *testing.F) {
 		if err := dec.Decode(&req); err != nil {
 			return // the HTTP layer rejects it before expansion
 		}
-		pts, keys, err := req.Points(version, lim)
+		pts, err := req.points(version, lim)
 		if err != nil {
 			return // rejected: fine, as long as it neither spun nor panicked
 		}
-		if len(pts) != len(keys) {
-			t.Fatalf("%d points but %d keys", len(pts), len(keys))
-		}
 		if len(pts) == 0 {
-			t.Fatalf("Points returned success with an empty expansion for %q", body)
+			t.Fatalf("points returned success with an empty expansion for %q", body)
 		}
 		if len(pts) > lim.MaxPoints {
 			t.Fatalf("expansion of %d points exceeds the %d limit", len(pts), lim.MaxPoints)
 		}
-		seen := make(map[string]bool, len(keys))
+		seen := make(map[string]bool, len(pts))
 		for i, p := range pts {
-			if k := p.Key(version); k != keys[i] {
-				t.Fatalf("keys[%d] = %q but the point's own address is %q", i, keys[i], k)
+			o := p.Options()
+			if k := o.Key(version); k != p.Key() {
+				t.Fatalf("point %d carries key %q but its options' address is %q", i, p.Key(), k)
 			}
-			if seen[keys[i]] {
-				t.Fatalf("duplicate key %q survived dedup", keys[i])
+			if seen[p.Key()] {
+				t.Fatalf("duplicate key %q survived dedup", p.Key())
 			}
-			seen[keys[i]] = true
+			seen[p.Key()] = true
 			// Points are promised normalized+valid: the scheduler and the
-			// cache key both depend on it.
-			if nk := p.Normalize().Key(version); nk != keys[i] {
-				t.Fatalf("point %d is not normalization-stable: %q vs %q", i, keys[i], nk)
-			}
-			if err := p.Validate(); err != nil {
+			// cache key both depend on it. Resolving the carried options
+			// again must succeed and be a fixed point.
+			again, err := o.Resolve(version)
+			if err != nil {
 				t.Fatalf("point %d invalid after successful expansion: %v", i, err)
+			}
+			if again.Key() != p.Key() || !reflect.DeepEqual(again.Options(), o) {
+				t.Fatalf("point %d is not normalization-stable: %+v vs %+v", i, o, again.Options())
 			}
 		}
 		// Expansion is deterministic: the same request body yields the
-		// same grid in the same order.
-		_, again, err := req.Points(version, lim)
+		// same grid in the same order, and the exported projection
+		// carries the same points and keys.
+		opts, keys, err := req.Points(version, lim)
 		if err != nil {
 			t.Fatalf("second expansion failed: %v", err)
 		}
+		if len(keys) != len(pts) {
+			t.Fatalf("second expansion has %d points, first %d", len(keys), len(pts))
+		}
 		for i := range keys {
-			if keys[i] != again[i] {
-				t.Fatalf("expansion order unstable at %d: %q vs %q", i, keys[i], again[i])
+			if keys[i] != pts[i].Key() || !reflect.DeepEqual(opts[i], pts[i].Options()) {
+				t.Fatalf("expansion order unstable at %d: %q vs %q", i, pts[i].Key(), keys[i])
 			}
 		}
 	})

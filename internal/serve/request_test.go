@@ -209,13 +209,14 @@ var allocGrids = []struct {
 	{"270-point", SweepRequest{UsefulMin: 2, UsefulMax: 16, Instructions: 20000, Seed: 7}, 270},
 }
 
-// TestPointsAllocationsPerPoint bounds what admission allocates per
-// point: the key string plus the amortized growth of the point, key
-// and dedup tables, on both grid shapes.
+// TestPointsAllocationsPerPoint bounds what admission's expansion
+// (points, the path /sweep runs) allocates per point: the key string
+// plus the point list and dedup set, both sized from the grid, on both
+// grid shapes.
 func TestPointsAllocationsPerPoint(t *testing.T) {
 	for _, g := range allocGrids {
 		run := func() {
-			if pts, _, err := g.req.Points("v", Limits{}); err != nil || len(pts) != g.points {
+			if pts, err := g.req.points("v", Limits{}); err != nil || len(pts) != g.points {
 				t.Fatalf("%s: %d points, err %v; want %d", g.name, len(pts), err, g.points)
 			}
 		}
@@ -228,8 +229,8 @@ func TestPointsAllocationsPerPoint(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(g.points)
-		if allocs > 3 || bytes > 1024 {
-			t.Errorf("%s: Points costs %.2f allocs and %.0f B per point, want <= 3 and <= 1024", g.name, allocs, bytes)
+		if allocs > 2 || bytes > 384 {
+			t.Errorf("%s: points costs %.2f allocs and %.0f B per point, want <= 2 and <= 384", g.name, allocs, bytes)
 		}
 	}
 }

@@ -48,8 +48,7 @@ var errCancelled = errors.New("point cancelled: all requesters disconnected")
 // result — it is atomic so the executor's Skip hook can read it without
 // taking the scheduler lock mid-batch.
 type job struct {
-	key  string
-	opts core.PointOptions
+	pt core.Point
 
 	done chan struct{}
 	line []byte // the newline-terminated NDJSON result, set before done closes
@@ -143,12 +142,11 @@ type admitStats struct {
 
 // admit classifies each point of one request against the cache and the
 // in-flight registry, enqueues the genuinely new ones, and returns one
-// ticket per point in request order. keys[i] must be pts[i].Key(version)
-// and the (pts, keys) pair must already be deduplicated; origin is the
-// requester's trace ID, carried by each newly created job. When
-// admitting would push the queue past its depth limit nothing is
-// enqueued and ErrQueueFull is returned.
-func (s *scheduler) admit(pts []core.PointOptions, keys []string, origin string) ([]ticket, admitStats, error) {
+// ticket per point in request order. pts must already be deduplicated
+// by key; origin is the requester's trace ID, carried by each newly
+// created job. When admitting would push the queue past its depth limit
+// nothing is enqueued and ErrQueueFull is returned.
+func (s *scheduler) admit(pts []core.Point, origin string) ([]ticket, admitStats, error) {
 	var adm admitStats
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -163,9 +161,10 @@ func (s *scheduler) admit(pts []core.PointOptions, keys []string, origin string)
 	// for the classification pass below, so a hit is fetched exactly once.
 	// Store state cannot shift between the passes — every store mutation
 	// on the serving path (finalize's Put) runs under this same mutex.
-	lines := make([][]byte, len(keys))
+	lines := make([][]byte, len(pts))
 	fresh := 0
-	for i, k := range keys {
+	for i, p := range pts {
+		k := p.Key()
 		if line, ok := s.cache.Get(k); ok {
 			lines[i] = line
 			continue
@@ -182,14 +181,14 @@ func (s *scheduler) admit(pts []core.PointOptions, keys []string, origin string)
 	}
 
 	tickets := make([]ticket, 0, len(pts))
-	for i, k := range keys {
+	for i, p := range pts {
 		if lines[i] != nil {
 			s.rec.Add("point_cache_hits", 1)
 			adm.hits++
 			tickets = append(tickets, ticket{line: lines[i]})
 			continue
 		}
-		if j, ok := s.inflight[k]; ok {
+		if j, ok := s.inflight[p.Key()]; ok {
 			// Singleflight join: the simulation is queued or running for
 			// someone else; share it. A join is a hit — the work exists.
 			j.waiters.Add(1)
@@ -200,10 +199,10 @@ func (s *scheduler) admit(pts []core.PointOptions, keys []string, origin string)
 			tickets = append(tickets, ticket{job: j})
 			continue
 		}
-		j := &job{key: k, opts: pts[i], done: make(chan struct{}),
+		j := &job{pt: p, done: make(chan struct{}),
 			origin: origin, enqueued: time.Now()}
 		j.waiters.Add(1)
-		s.inflight[k] = j
+		s.inflight[p.Key()] = j
 		s.queue = append(s.queue, j)
 		s.rec.Add("point_cache_misses", 1)
 		adm.misses++
@@ -245,7 +244,7 @@ func (s *scheduler) release(tickets []ticket) {
 // inflight, fails with errCancelled and counts as dropped. Called with
 // s.mu held.
 func (s *scheduler) cancel(j *job) {
-	delete(s.inflight, j.key)
+	delete(s.inflight, j.pt.Key())
 	j.err = errCancelled
 	close(j.done)
 	s.rec.Add("points_dropped", 1)
@@ -306,8 +305,8 @@ type traceIdent struct {
 	seed  uint64
 }
 
-func identOf(o core.PointOptions) traceIdent {
-	o = o.Normalize()
+func identOf(p core.Point) traceIdent {
+	o := p.Options()
 	return traceIdent{bench: o.Benchmark, n: o.Instructions, seed: o.Seed}
 }
 
@@ -326,7 +325,7 @@ func (s *scheduler) runGrouped(batch []*job) {
 	groups := make([][]*job, 0, len(batch))
 	index := make(map[traceIdent]int, len(batch))
 	for _, j := range batch {
-		id := identOf(j.opts)
+		id := identOf(j.pt)
 		gi, ok := index[id]
 		if !ok {
 			gi = len(groups)
@@ -358,13 +357,13 @@ func (s *scheduler) runGrouped(batch []*job) {
 		if len(live) == 0 {
 			return struct{}{}
 		}
-		opts := make([]core.PointOptions, len(live))
+		pts := make([]core.Point, len(live))
 		for i, j := range live {
 			j.ran = true
 			s.metrics.queueWait.Observe(time.Since(j.enqueued).Seconds())
-			opts[i] = j.opts
+			pts[i] = j.pt
 		}
-		results, err := core.SimulateBatch(opts, s.rec)
+		results, err := core.SimulateBatch(pts, s.rec)
 		for i, j := range live {
 			if err != nil {
 				s.finishJob(j, core.BenchPoint{}, err)
@@ -385,7 +384,7 @@ func (s *scheduler) finishJob(j *job, res core.BenchPoint, err error) {
 		s.finalize(j, nil)
 		return
 	}
-	line, merr := json.Marshal(newPointResult(j.key, j.opts, res))
+	line, merr := json.Marshal(newPointResult(j.pt, res))
 	if merr != nil {
 		j.err = merr
 		s.finalize(j, nil)
@@ -403,7 +402,7 @@ func (s *scheduler) finishJob(j *job, res core.BenchPoint, err error) {
 	// fill back to the request that caused them.
 	s.log.Debug("point simulated",
 		"request_id", j.origin,
-		"key", j.key,
+		"key", j.pt.Key(),
 		"bytes", len(line))
 }
 
@@ -419,10 +418,10 @@ func (s *scheduler) finalize(j *job, line []byte) {
 	s.running--
 	if line != nil {
 		j.line = line
-		s.cache.Put(j.key, line)
+		s.cache.Put(j.pt.Key(), line)
 		s.rec.Add("points_done", 1)
 	}
-	delete(s.inflight, j.key)
+	delete(s.inflight, j.pt.Key())
 	s.mu.Unlock()
 	close(j.done)
 }

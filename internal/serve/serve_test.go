@@ -419,12 +419,12 @@ func TestCacheEvictionBoundsMemory(t *testing.T) {
 func TestAdmitAfterCloseFailsFast(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	req := SweepRequest{Useful: []float64{8}, Benchmarks: []string{"gcc"}, Instructions: 4000}
-	pts, keys, err := req.Points(srv.cfg.CodeVersion, Limits{})
+	pts, err := req.points(srv.cfg.CodeVersion, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, _, err := srv.sched.admit(pts, keys, "test-origin"); !errors.Is(err, ErrStopped) {
+	if _, _, err := srv.sched.admit(pts, "test-origin"); !errors.Is(err, ErrStopped) {
 		t.Fatalf("admit after close: err = %v, want ErrStopped", err)
 	}
 }

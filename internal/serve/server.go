@@ -264,7 +264,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, r, http.StatusBadRequest, "bad_request", "bad request body: %v", err)
 		return
 	}
-	pts, keys, err := req.Points(s.cfg.CodeVersion, Limits{
+	pts, err := req.points(s.cfg.CodeVersion, Limits{
 		MaxPoints:       s.cfg.MaxPointsPerRequest,
 		MaxInstructions: s.cfg.MaxInstructions,
 	})
@@ -273,7 +273,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tickets, adm, err := s.sched.admit(pts, keys, tr.requestID())
+	tickets, adm, err := s.sched.admit(pts, tr.requestID())
 	if errors.Is(err, ErrQueueFull) {
 		s.reject(w, r, http.StatusTooManyRequests, "queue_full", "%v", err)
 		return
@@ -329,7 +329,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			if t.job.err != nil {
 				// Validated points only fail on should-never-happen
 				// internal errors; surface them without caching.
-				s.streamError(w, t.job.key, t.job.err)
+				s.streamError(w, t.job.pt.Key(), t.job.err)
 				continue
 			}
 			line = t.job.line

@@ -59,10 +59,10 @@ func TestSweepFlushesOnlyBeforeAWait(t *testing.T) {
 	srv.sched = sched
 
 	benches := []string{"gcc", "swim", "mcf"}
-	_, keys := edgePoints(t, benches, []float64{8})
+	pts := edgePoints(t, benches, []float64{8})
 	hit0, hit1 := `{"key":"hit-0"}`+"\n", `{"key":"hit-1"}`+"\n"
-	sched.cache.Put(keys[0], []byte(hit0))
-	sched.cache.Put(keys[1], []byte(hit1))
+	sched.cache.Put(pts[0].Key(), []byte(hit0))
+	sched.cache.Put(pts[1].Key(), []byte(hit1))
 	body := `{"useful":[8],"benchmarks":["gcc","swim","mcf"],"instructions":2000,"seed":99}`
 
 	sweep := func() (*flushRecorder, chan struct{}) {
@@ -96,7 +96,7 @@ func TestSweepFlushesOnlyBeforeAWait(t *testing.T) {
 	}
 	sched.runBatch(sched.takeBatch())
 	waitFor(done, "the handler to finish")
-	line2, ok := sched.cache.Get(keys[2])
+	line2, ok := sched.cache.Get(pts[2].Key())
 	if !ok {
 		t.Fatal("the simulated point was not stored")
 	}
